@@ -180,7 +180,54 @@ def std_group(typ: tuple[int, ...]) -> StdGroup:
 
 
 @lru_cache(maxsize=None)
-def automorphism_perms(typ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All automorphisms of the standard group, as index permutations."""
+def automorphism_count(typ: tuple[int, ...]) -> int:
+    """|Aut| of the standard group of `typ`, in closed form.
+
+    Per prime p with exponents e_1 <= ... <= e_k, Hillar & Rhea
+    ("Automorphisms of finite abelian groups", arXiv:math/0605185, Thm 4.1)
+    give prod_j (p^d_j - p^(j-1)) * p^(e_j (k - d_j)) * p^((e_j - 1)(k - c_j + 1)),
+    with d_j the largest and c_j the smallest (1-based) index whose exponent
+    equals e_j.  The group is the product of its primary parts.
+    """
+    total = 1
+    for p in prime_factors(math.prod(typ)):
+        exps = []
+        for m in typ:
+            if m % p == 0:
+                e = 0
+                while m > 1:
+                    m //= p
+                    e += 1
+                exps.append(e)
+        exps.sort()
+        k = len(exps)
+        for j, e in enumerate(exps, start=1):
+            c = exps.index(e) + 1
+            d = c + exps.count(e) - 1
+            total *= (p**d - p ** (j - 1)) * p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))
+    return total
+
+
+@lru_cache(maxsize=None)
+def automorphism_perms(typ: tuple[int, ...]):
+    """All automorphisms of the standard group, one index permutation per row.
+
+    A read-only uint8 array of shape (|Aut|, order), rows in the order
+    `iter_basis_perms` yields them.
+    """
+    import numpy as np
+
     group = std_group(typ)
-    return tuple(tuple(p) for p in iter_basis_perms(group.add, typ))
+    perms = np.array(list(iter_basis_perms(group.add, typ)), dtype=np.uint8)
+    perms.flags.writeable = False
+    return perms
+
+
+@lru_cache(maxsize=None)
+def automorphism_inverses(typ: tuple[int, ...]):
+    """Row i is the inverse permutation of row i of `automorphism_perms(typ)`."""
+    import numpy as np
+
+    inverses = np.argsort(automorphism_perms(typ), axis=1).astype(np.uint8)
+    inverses.flags.writeable = False
+    return inverses

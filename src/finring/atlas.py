@@ -182,13 +182,8 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[by
     first seen inside it (orbit-deduplicated locally)."""
     typ, first_vals = job
     group = addgroup.std_group(typ)
-    autos = addgroup.automorphism_perms(typ)
-    inverses = []
-    for phi in autos:
-        inv = [0] * group.order
-        for i, e in enumerate(phi):
-            inv[e] = i
-        inverses.append(inv)
+    autos = addgroup.automorphism_perms(typ).tolist()
+    inverses = addgroup.automorphism_inverses(typ).tolist()
     gens = group.gens
     k = len(typ)
     seen: set[tuple[int, ...]] = set()
@@ -287,18 +282,22 @@ def enumerate_rings(
     parts.sort(reverse=True)
     if not parts:
         parts = [1]
-    per_part: list[list[FiniteRing]] = []
+    per_part: list[list[tuple[bytes, FiniteRing]]] = []
     for q in parts:
         certs = _prime_power_certs(q, cap, workers) if q > 1 else [
             structure.ring_canonical_certificate(rings.zn(1))
         ]
-        per_part.append([_canonical_ring(c) for c in certs])
-    combos = per_part[0]
-    for other in per_part[1:]:
-        combos = [rings.direct_sum(a, b) for a in combos for b in other]
-    keyed = sorted(
-        (structure.ring_canonical_certificate(ring), ring) for ring in combos
-    )
+        per_part.append([(c, _canonical_ring(c)) for c in certs])
+    # A ring decoded from a certificate has that certificate, so only direct
+    # sums of several parts need a new one.
+    keyed = per_part[0]
+    if len(per_part) > 1:
+        combos = [ring for _, ring in per_part[0]]
+        for other in per_part[1:]:
+            combos = [rings.direct_sum(a, b) for a in combos for _, b in other]
+        keyed = sorted(
+            (structure.ring_canonical_certificate(ring), ring) for ring in combos
+        )
     entries = []
     for i, (cert, ring) in enumerate(keyed):
         labeled = replace(ring, label=f"R{n}_{i}")

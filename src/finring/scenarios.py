@@ -105,7 +105,8 @@ def cor1(cache: AtlasCache) -> ScenarioResult:
     quotient_field = rings.quotient(rings.zn(9), radical)
     ok &= _check(
         lines,
-        structure.ring_isomorphic(quotient_field, rings.zn(3)) is not None,
+        structure.is_local(rings.zn(9))
+        and structure.ring_isomorphic(quotient_field, rings.zn(3)) is not None,
         "Z9 modulo its radical is Z3",
     )
     sub = rings.subring_generated(rings.zn(9), {3})
@@ -158,9 +159,11 @@ def prop4_counterexample(cache: AtlasCache) -> ScenarioResult:
         is not None,
         "graph(N0_3) ~ graph(Z2+Z2)",
     )
+    # Two witnesses: the isomorphism search, and the number of direct summands.
     ok &= _check(
         lines,
-        structure.ring_isomorphic(left, right) is None,
+        structure.ring_isomorphic(left, right) is None
+        and len(structure.decompose(left)) != len(structure.decompose(right)),
         "N0_3 and Z2+Z2 are not isomorphic as rings",
     )
     # The same collision surfaces in the atlas when entries are filtered by
@@ -262,7 +265,7 @@ def theorem3_shape(cache: AtlasCache) -> ScenarioResult:
     ]
     ok &= _check(
         lines,
-        len(z2_entries) == 1 and z2_entries[0].report.is_subdirectly_irreducible,
+        len(z2_entries) == 1 and structure.is_subdirectly_irreducible(z2_entries[0].ring),
         "the field GF(2) appears in the atlas and is subdirectly irreducible",
     )
     return ScenarioResult("theorem3-shape", bool(ok), lines)

@@ -11,10 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import addgroup, rings
-from .errors import NoIdentity, OrderCapExceeded
+from .errors import BudgetExceeded, NoIdentity, OrderCapExceeded
 from .rings import FiniteRing
 
 DEFAULT_STRUCTURAL_CAP = 64
+# Largest additive automorphism group a certificate minimizes over.  It covers
+# every additive type of order <= 16 and (3, 3, 3); GL(5, 2) is far above it.
+AUTOMORPHISM_BUDGET = 1 << 17
+# Product-table entries per vectorized block of the certificate minimum.
+_CERTIFICATE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,12 @@ def jacobson_radical(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
     quasi-regularity for rings without identity.
     """
     _check_cap(ring, cap, "radical computation")
+    return _radical(ring, ideals(ring, cap=cap))
+
+
+def _radical(ring: FiniteRing, lattice: list[Ideal]) -> Ideal:
     acc: frozenset[int] = frozenset({0})
-    for ideal in ideals(ring, cap=cap):
+    for ideal in lattice:
         if _ideal_is_nilpotent(ring, ideal.members):
             acc = _additive_span(ring, acc | frozenset(ideal.members))
     return Ideal(ring, tuple(sorted(acc)))
@@ -228,6 +237,13 @@ def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
     return is_field(rings.quotient(ring, radical))
 
 
+def _meet_is_nonzero(lattice: list[Ideal]) -> bool:
+    # Every nonzero ideal contains a nonzero principal one, and the lattice
+    # holds every principal ideal, so this meet is the one over principals.
+    nonzero = [set(i.members) for i in lattice if len(i) > 1]
+    return bool(nonzero) and len(set.intersection(*nonzero)) > 1
+
+
 def _restrict(ring: FiniteRing, members: tuple[int, ...]) -> FiniteRing:
     index_of = {x: i for i, x in enumerate(members)}
     add = tuple(tuple(index_of[ring.add[a][b]] for b in members) for a in members)
@@ -235,41 +251,56 @@ def _restrict(ring: FiniteRing, members: tuple[int, ...]) -> FiniteRing:
     return rings.make_ring(add, mul)
 
 
+def _find_split(
+    ring: FiniteRing, lattice: list[frozenset[int]], comp: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The first pair of ideals inside `comp` whose direct sum is `comp`."""
+    inside = [s for s in lattice if len(s) > 1 and s < comp]
+    for left in inside:
+        for right in inside:
+            if len(left) * len(right) != len(comp) or left & right != {0}:
+                continue
+            sums = {ring.add[a][b] for a in left for b in right}
+            if len(sums) == len(comp) and sums == comp:
+                return left, right
+    return None
+
+
 def decompose(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal]:
     """A finest splitting of the ring into direct summand ideals.
 
     Greedily splits components against complementary ideal pairs; a singleton
     result means the ring is indecomposable.  Components come back sorted by
-    (size, certificate) so the output is deterministic.
+    (size, certificate, members) so the output is deterministic.  A
+    certificate is computed only where it can decide that order: between
+    components of equal size whose restricted tables differ.
     """
     _check_cap(ring, cap, "decomposition")
-    all_ideals = [frozenset(i.members) for i in ideals(ring, cap=cap)]
+    lattice = [frozenset(i.members) for i in ideals(ring, cap=cap)]
     components = [frozenset(range(ring.order))]
     done = False
     while not done:
         done = True
         for ci, comp in enumerate(components):
-            inside = [s for s in all_ideals if len(s) > 1 and s < comp]
-            split = None
-            for left in inside:
-                for right in inside:
-                    if len(left) * len(right) != len(comp) or left & right != {0}:
-                        continue
-                    sums = {ring.add[a][b] for a in left for b in right}
-                    if len(sums) == len(comp) and sums == comp:
-                        split = (left, right)
-                        break
-                if split:
-                    break
+            split = _find_split(ring, lattice, comp)
             if split:
                 components[ci: ci + 1] = [split[0], split[1]]
                 done = False
                 break
-    def sort_key(s: frozenset[int]):
-        members = tuple(sorted(s))
-        return (len(s), ring_canonical_certificate(_restrict(ring, members)), members)
-    components.sort(key=sort_key)
-    return [Ideal(ring, tuple(sorted(s))) for s in components]
+    # A lone size never compares certificates, and equal tables have equal
+    # certificates; either way (members) alone gives the same order.
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for comp in components:
+        by_size.setdefault(len(comp), []).append(tuple(sorted(comp)))
+    ordered = []
+    for size in sorted(by_size):
+        group = sorted(by_size[size])
+        restricted = [_restrict(ring, members) for members in group] if len(group) > 1 else []
+        if len({(r.add, r.mul) for r in restricted}) > 1:
+            keyed = sorted((ring_canonical_certificate(r), m) for r, m in zip(restricted, group))
+            group = [members for _, members in keyed]
+        ordered.extend(group)
+    return [Ideal(ring, members) for members in ordered]
 
 
 @dataclass(frozen=True)
@@ -309,22 +340,36 @@ def _std_mul(ring: FiniteRing, perm: list[int]) -> tuple[int, ...]:
     return tuple(inv[mul[px][py]] for px in perm for py in perm)
 
 
+def _fingerprint(ring: FiniteRing) -> tuple:
+    """Isomorphism invariants that are cheap next to a basis search."""
+    return (
+        addgroup.additive_type(ring.add),
+        has_identity(ring) is not None,
+        is_commutative(ring),
+        len(zero_divisors(ring)),
+        len(idempotents(ring)),
+        len(nilpotent_elements(ring)),
+    )
+
+
 def ring_isomorphic(
     r: FiniteRing, s: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP
 ) -> RingHom | None:
     """Search for an isomorphism by backtracking over additive bases of `s`.
 
-    Both rings are viewed in the standard coordinates of their common
-    additive type; `r` is pinned to one basis and every basis of `s` is
-    tried against it.
+    Pairs whose cheap invariants differ are rejected before any search.
+    Otherwise both rings are viewed in the standard coordinates of their
+    common additive type; `r` is pinned to one basis and every basis of `s`
+    is tried against it.
     """
     _check_cap(r, cap, "isomorphism search")
     _check_cap(s, cap, "isomorphism search")
     if r.order != s.order:
         return None
-    typ = addgroup.additive_type(r.add)
-    if typ != addgroup.additive_type(s.add):
+    fingerprint = _fingerprint(r)
+    if fingerprint != _fingerprint(s):
         return None
+    typ = fingerprint[0]
     n = r.order
     perm_r = next(addgroup.iter_basis_perms(r.add, typ))
     target = _std_mul(r, perm_r)
@@ -361,18 +406,41 @@ def ring_canonical_certificate(
 
     The additive group is put in the standard layout of its invariant type
     and the multiplication table is minimized lexicographically over every
-    decomposition basis (equivalently, over the additive automorphisms).
+    decomposition basis.  Those bases are perm0 . phi for one basis perm0 and
+    every additive automorphism phi, so the table is standardized once and
+    the minimum is taken over Aut(typ) in vectorized blocks.  Types whose
+    automorphism group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
     """
+    import numpy as np
+
     _check_cap(ring, cap, "certificate computation")
     typ = addgroup.additive_type(ring.add)
-    best: tuple[int, ...] | None = None
-    for perm in addgroup.iter_basis_perms(ring.add, typ):
-        cand = _std_mul(ring, perm)
+    count = addgroup.automorphism_count(typ)
+    if count > AUTOMORPHISM_BUDGET:
+        raise BudgetExceeded(
+            f"certificate of additive type {typ} needs a minimum over {count} "
+            f"automorphisms, beyond the budget of {AUTOMORPHISM_BUDGET}"
+        )
+    n = ring.order
+    perm0 = next(addgroup.iter_basis_perms(ring.add, typ))
+    table = np.frombuffer(bytes(_std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
+    autos = addgroup.automorphism_perms(typ)
+    inverses = addgroup.automorphism_inverses(typ)
+    # Under basis perm0 . phi the product of standard elements x, y reads
+    # phi^-1[table[phi[x], phi[y]]].
+    width = n * n
+    step = max(1, _CERTIFICATE_BLOCK // width)
+    best: bytes | None = None
+    for lo in range(0, len(autos), step):
+        phi = autos[lo: lo + step]
+        cells = table[phi[:, :, None], phi[:, None, :]].reshape(len(phi), width)
+        flat = inverses[lo: lo + step][np.arange(len(phi))[:, None], cells].tobytes()
+        cand = min(flat[i: i + width] for i in range(0, len(flat), width))
         if best is None or cand < best:
             best = cand
     assert best is not None
     header = f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode()
-    return header + bytes(best)
+    return header + best
 
 
 @dataclass(frozen=True)
@@ -417,9 +485,18 @@ class StructureReport:
 
 
 def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> StructureReport:
-    """Compute the full invariant summary for one ring."""
+    """Compute the full invariant summary for one ring.
+
+    The ideal lattice is built once; the radical, locality, subdirect
+    irreducibility and decomposability are all read off it.
+    """
     identity = has_identity(ring)
-    local = is_local(ring, cap=cap) if identity is not None else False
+    # Over the cap, name the step that needs the lattice first: the radical
+    # when there is an identity, subdirect irreducibility when there is none.
+    _check_cap(ring, cap, "radical computation" if identity is not None else "subdirect irreducibility")
+    lattice = ideals(ring, cap=cap)
+    radical = _radical(ring, lattice)
+    whole = frozenset(range(ring.order))
     return StructureReport(
         label=ring.label,
         order=ring.order,
@@ -427,10 +504,10 @@ def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
         has_identity=identity,
         is_commutative=is_commutative(ring),
         is_field=is_field(ring),
-        is_local=local,
+        is_local=identity is not None and is_field(rings.quotient(ring, radical)),
         is_nilpotent=is_nilpotent_ring(ring),
-        is_subdirectly_irreducible=is_subdirectly_irreducible(ring, cap=cap),
-        is_decomposable=len(decompose(ring, cap=cap)) > 1,
+        is_subdirectly_irreducible=_meet_is_nonzero(lattice),
+        is_decomposable=_find_split(ring, [frozenset(i.members) for i in lattice], whole) is not None,
         zero_divisor_count=len(zero_divisors(ring)),
-        jacobson_radical=jacobson_radical(ring, cap=cap),
+        jacobson_radical=radical,
     )
