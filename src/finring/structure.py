@@ -8,6 +8,7 @@ Cayley tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import addgroup, rings
@@ -212,13 +213,22 @@ def is_subdirectly_irreducible(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURA
     nonzero ideal contains one.
     """
     _check_cap(ring, cap, "subdirect irreducibility")
-    meet: set[int] | None = None
-    for x in range(1, ring.order):
-        principal = _ideal_closure(ring, {x})
-        meet = set(principal) if meet is None else meet & principal
-        if meet == {0}:
-            return False
-    return meet is not None and len(meet) > 1
+    return _meet_is_nonzero(_ideal_closure(ring, {x}) for x in range(1, ring.order))
+
+
+def _meet_is_nonzero(candidates: Iterable[frozenset[int]]) -> bool:
+    """True iff the nonzero sets among `candidates` meet in a nonzero set.
+
+    `candidates` must include every nonzero principal ideal, as the
+    principal ideals themselves or a whole ideal lattice do.
+    """
+    meet: frozenset[int] | None = None
+    for members in candidates:
+        if len(members) > 1:
+            meet = members if meet is None else meet & members
+            if len(meet) == 1:
+                return False
+    return meet is not None
 
 
 def is_field(ring: FiniteRing) -> bool:
@@ -233,15 +243,11 @@ def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
     """True iff the quotient by the radical is a field (identity required)."""
     if has_identity(ring) is None:
         raise NoIdentity("locality is only defined for rings with identity")
-    radical = jacobson_radical(ring, cap=cap)
+    return _is_local(ring, jacobson_radical(ring, cap=cap))
+
+
+def _is_local(ring: FiniteRing, radical: Ideal) -> bool:
     return is_field(rings.quotient(ring, radical))
-
-
-def _meet_is_nonzero(lattice: list[Ideal]) -> bool:
-    # Every nonzero ideal contains a nonzero principal one, and the lattice
-    # holds every principal ideal, so this meet is the one over principals.
-    nonzero = [set(i.members) for i in lattice if len(i) > 1]
-    return bool(nonzero) and len(set.intersection(*nonzero)) > 1
 
 
 def _restrict(ring: FiniteRing, members: tuple[int, ...]) -> FiniteRing:
@@ -271,9 +277,7 @@ def decompose(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Id
 
     Greedily splits components against complementary ideal pairs; a singleton
     result means the ring is indecomposable.  Components come back sorted by
-    (size, certificate, members) so the output is deterministic.  A
-    certificate is computed only where it can decide that order: between
-    components of equal size whose restricted tables differ.
+    (size, certificate) so the output is deterministic.
     """
     _check_cap(ring, cap, "decomposition")
     lattice = [frozenset(i.members) for i in ideals(ring, cap=cap)]
@@ -287,20 +291,11 @@ def decompose(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Id
                 components[ci: ci + 1] = [split[0], split[1]]
                 done = False
                 break
-    # A lone size never compares certificates, and equal tables have equal
-    # certificates; either way (members) alone gives the same order.
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for comp in components:
-        by_size.setdefault(len(comp), []).append(tuple(sorted(comp)))
-    ordered = []
-    for size in sorted(by_size):
-        group = sorted(by_size[size])
-        restricted = [_restrict(ring, members) for members in group] if len(group) > 1 else []
-        if len({(r.add, r.mul) for r in restricted}) > 1:
-            keyed = sorted((ring_canonical_certificate(r), m) for r, m in zip(restricted, group))
-            group = [members for _, members in keyed]
-        ordered.extend(group)
-    return [Ideal(ring, members) for members in ordered]
+    def sort_key(s: frozenset[int]):
+        members = tuple(sorted(s))
+        return (len(s), ring_canonical_certificate(_restrict(ring, members)), members)
+    components.sort(key=sort_key)
+    return [Ideal(ring, tuple(sorted(s))) for s in components]
 
 
 @dataclass(frozen=True)
@@ -496,7 +491,7 @@ def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
     _check_cap(ring, cap, "radical computation" if identity is not None else "subdirect irreducibility")
     lattice = ideals(ring, cap=cap)
     radical = _radical(ring, lattice)
-    whole = frozenset(range(ring.order))
+    members = [frozenset(i.members) for i in lattice]
     return StructureReport(
         label=ring.label,
         order=ring.order,
@@ -504,10 +499,10 @@ def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
         has_identity=identity,
         is_commutative=is_commutative(ring),
         is_field=is_field(ring),
-        is_local=identity is not None and is_field(rings.quotient(ring, radical)),
+        is_local=identity is not None and _is_local(ring, radical),
         is_nilpotent=is_nilpotent_ring(ring),
-        is_subdirectly_irreducible=_meet_is_nonzero(lattice),
-        is_decomposable=_find_split(ring, [frozenset(i.members) for i in lattice], whole) is not None,
+        is_subdirectly_irreducible=_meet_is_nonzero(members),
+        is_decomposable=_find_split(ring, members, frozenset(range(ring.order))) is not None,
         zero_divisor_count=len(zero_divisors(ring)),
         jacobson_radical=radical,
     )
