@@ -90,8 +90,9 @@ def iter_basis_perms(add: Sequence[Sequence[int]], typ: tuple[int, ...]) -> Iter
 
     A yielded permutation maps the standard mixed-radix index of a coordinate
     tuple to the group element carrying it; the set of all of them is a torsor
-    under the automorphism group, which is what certificate minimization and
-    isomorphism search iterate over.  Generators are tried in ascending index
+    under the automorphism group.  A certificate takes only the first basis
+    and reaches the rest through `automorphism_perms`; no isomorphism search
+    iterates over this generator.  Generators are tried in ascending index
     order within each cyclic order.
     """
     if not typ:
@@ -138,18 +139,6 @@ class StdGroup:
 
     def annihilated_by(self, d: int) -> tuple[int, ...]:
         return tuple(x for x in range(self.order) if self.smul[d][x] == 0)
-
-    def scalar(self, c: int, x: int) -> int:
-        orders = self.typ
-        digs = self.digits[x]
-        coords = tuple(c * digs[i] % orders[i] for i in range(len(orders)))
-        return self._index_of(coords)
-
-    def _index_of(self, coords: tuple[int, ...]) -> int:
-        idx = 0
-        for m, c in zip(self.typ, coords):
-            idx = idx * m + c
-        return idx
 
 
 @lru_cache(maxsize=None)

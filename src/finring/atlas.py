@@ -14,6 +14,7 @@ components.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,14 +26,6 @@ from .structure import StructureReport
 DEFAULT_ENUMERATION_CAP = 9
 ENUMERATION_HARD_MAX = 16
 SCAN_BUDGET = 1 << 30
-
-
-@dataclass(frozen=True)
-class GeneratorPresentation:
-    """A candidate multiplication: products of the additive generators."""
-
-    additive_type: tuple[int, ...]
-    products: tuple[int, ...]  # row-major k*k element indices
 
 
 @dataclass(frozen=True)
@@ -180,28 +173,26 @@ def _tensor_table(group: addgroup.StdGroup, products: tuple[int, ...]) -> rings.
 def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[bytes]:
     """Worker body: scan one chunk and return the certificates of the classes
     first seen inside it (orbit-deduplicated locally)."""
+    import numpy as np
+
     typ, first_vals = job
     group = addgroup.std_group(typ)
-    autos = addgroup.automorphism_perms(typ).tolist()
-    inverses = addgroup.automorphism_inverses(typ).tolist()
-    gens = group.gens
-    k = len(typ)
+    autos = addgroup.automorphism_perms(typ)
+    # Under automorphism phi, generator product (i, j) becomes
+    # phi[table[phi^-1[gen_i], phi^-1[gen_j]]]; one gather per class covers
+    # the whole orbit.
+    inv_gens = addgroup.automorphism_inverses(typ)[:, group.gens]
+    rows = np.arange(len(autos))[:, None]
     seen: set[tuple[int, ...]] = set()
     certs: list[bytes] = []
     for products in _scan_tensors(typ, first_vals):
         if products in seen:
             continue
-        presentation = GeneratorPresentation(typ, products)
-        table = _tensor_table(group, presentation.products)
+        table = _tensor_table(group, products)
         ring = rings.make_ring(group.add, table)
         certs.append(structure.ring_canonical_certificate(ring))
-        for phi, inv in zip(autos, inverses):
-            orbit = tuple(
-                phi[table[inv[gens[i]]][inv[gens[j]]]]
-                for i in range(k)
-                for j in range(k)
-            )
-            seen.add(orbit)
+        cells = np.array(table, dtype=np.uint8)[inv_gens[:, :, None], inv_gens[:, None, :]]
+        seen.update(map(tuple, autos[rows, cells.reshape(len(autos), -1)].tolist()))
     return certs
 
 
@@ -241,6 +232,7 @@ def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
         first_allowed = group.annihilated_by(math.gcd(typ[0], typ[0]))
         for v in first_allowed:
             jobs.append((typ, (v,)))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_certificates, jobs))

@@ -69,8 +69,22 @@ def _echo_cap(cap: int, overridden: bool) -> None:
         print(f"# enumeration cap override: {cap} ({ENUM_CAP_VAR})")
 
 
-def _int_args(values: list[str], count: int, usage: str) -> list[int]:
-    if len(values) != count:
+# Families built from integer parameters: builder and usage string.  The
+# usage names one parameter per <...> slot.
+_INT_FAMILIES = {
+    "zn": (rings.zn, "zn <n>"),
+    "gf": (rings.gf, "gf <p> <k>"),
+    "n0": (rings.n0, "n0 <p> <n>"),
+    "np2": (rings.np2, "np2 <p>"),
+    "npp": (rings.npp, "npp <p>"),
+    "ap": (rings.ap, "ap <p>"),
+    "ap0": (rings.ap0, "ap0 <p>"),
+    "zpx2": (rings.zpx_mod_x2, "zpx2 <p>"),
+}
+
+
+def _int_args(values: list[str], usage: str) -> list[int]:
+    if len(values) != usage.count("<"):
         raise ValueError(f"expected {usage}")
     try:
         return [int(v) for v in values]
@@ -79,30 +93,9 @@ def _int_args(values: list[str], count: int, usage: str) -> list[int]:
 
 
 def _build_family(family: str, params: list[str]) -> rings.FiniteRing:
-    if family == "zn":
-        (n,) = _int_args(params, 1, "zn <n>")
-        return rings.zn(n)
-    if family == "gf":
-        p, k = _int_args(params, 2, "gf <p> <k>")
-        return rings.gf(p, k)
-    if family == "n0":
-        p, n = _int_args(params, 2, "n0 <p> <n>")
-        return rings.n0(p, n)
-    if family == "np2":
-        (p,) = _int_args(params, 1, "np2 <p>")
-        return rings.np2(p)
-    if family == "npp":
-        (p,) = _int_args(params, 1, "npp <p>")
-        return rings.npp(p)
-    if family == "ap":
-        (p,) = _int_args(params, 1, "ap <p>")
-        return rings.ap(p)
-    if family == "ap0":
-        (p,) = _int_args(params, 1, "ap0 <p>")
-        return rings.ap0(p)
-    if family == "zpx2":
-        (p,) = _int_args(params, 1, "zpx2 <p>")
-        return rings.zpx_mod_x2(p)
+    if family in _INT_FAMILIES:
+        build, usage = _INT_FAMILIES[family]
+        return build(*_int_args(params, usage))
     if family == "sum":
         if len(params) != 2:
             raise ValueError("expected sum <ringtab-a> <ringtab-b>")

@@ -290,25 +290,28 @@ def np2(p: int) -> FiniteRing:
     return make_ring(add, mul, label=f"N{q}", element_names=names)
 
 
+def _pair_ring(p: int, product, label: str, name=lambda a, b: f"({a},{b})") -> FiniteRing:
+    """Ring on pairs (a, b) over GF(p), element a*p + b, added componentwise.
+
+    `product` maps two pairs to the pair of their product (reduced mod p
+    here) and `name` maps a pair to its element name.
+    """
+    _require_prime(p)
+    pairs = [(i // p, i % p) for i in range(p * p)]
+    idx = lambda a, b: a % p * p + b % p
+    add = tuple(tuple(idx(a1 + a2, b1 + b2) for (a2, b2) in pairs) for (a1, b1) in pairs)
+    mul = tuple(tuple(idx(*product(x, y)) for y in pairs) for x in pairs)
+    names = tuple(name(a, b) for a, b in pairs)
+    return make_ring(add, mul, label=label, element_names=names)
+
+
 def npp(p: int) -> FiniteRing:
     """Strictly upper-triangular 3x3 matrices over GF(p) with equal superdiagonal.
 
     An element is a pair (a, b): superdiagonal a (twice) and corner b, so
     (a, b)(c, d) = (0, a*c); characteristic p, cube zero.
     """
-    _require_prime(p)
-    q = p * p
-    pairs = [(i // p, i % p) for i in range(q)]
-    idx = lambda a, b: a * p + b
-    add = tuple(
-        tuple(idx((a1 + a2) % p, (b1 + b2) % p) for (a2, b2) in pairs)
-        for (a1, b1) in pairs
-    )
-    mul = tuple(
-        tuple(idx(0, a1 * a2 % p) for (a2, _) in pairs) for (a1, _) in pairs
-    )
-    names = tuple(f"({a},{b})" for a, b in pairs)
-    return make_ring(add, mul, label=f"N{p},{p}", element_names=names)
+    return _pair_ring(p, lambda x, y: (0, x[0] * y[0]), f"N{p},{p}")
 
 
 def ap(p: int) -> FiniteRing:
@@ -316,20 +319,7 @@ def ap(p: int) -> FiniteRing:
 
     (x, y)(u, v) = (x*u, x*v); the element (1, 0) is a left identity.
     """
-    _require_prime(p)
-    q = p * p
-    pairs = [(i // p, i % p) for i in range(q)]
-    idx = lambda a, b: a * p + b
-    add = tuple(
-        tuple(idx((x1 + x2) % p, (y1 + y2) % p) for (x2, y2) in pairs)
-        for (x1, y1) in pairs
-    )
-    mul = tuple(
-        tuple(idx(x1 * x2 % p, x1 * y2 % p) for (x2, y2) in pairs)
-        for (x1, y1) in pairs
-    )
-    names = tuple(f"({x},{y})" for x, y in pairs)
-    return make_ring(add, mul, label=f"A{p}", element_names=names)
+    return _pair_ring(p, lambda x, y: (x[0] * y[0], x[0] * y[1]), f"A{p}")
 
 
 def ap0(p: int) -> FiniteRing:
@@ -337,38 +327,20 @@ def ap0(p: int) -> FiniteRing:
 
     (x, y)(u, v) = (x*u, y*u); the element (1, 0) is a right identity.
     """
-    _require_prime(p)
-    q = p * p
-    pairs = [(i // p, i % p) for i in range(q)]
-    idx = lambda a, b: a * p + b
-    add = tuple(
-        tuple(idx((x1 + x2) % p, (y1 + y2) % p) for (x2, y2) in pairs)
-        for (x1, y1) in pairs
-    )
-    mul = tuple(
-        tuple(idx(x1 * x2 % p, y1 * x2 % p) for (x2, y2) in pairs)
-        for (x1, y1) in pairs
-    )
-    names = tuple(f"({x},{y})" for x, y in pairs)
-    return make_ring(add, mul, label=f"A{p}^0", element_names=names)
+    return _pair_ring(p, lambda x, y: (x[0] * y[0], x[1] * y[0]), f"A{p}^0")
 
 
 def zpx_mod_x2(p: int) -> FiniteRing:
-    """Truncated polynomial ring Z_p[x]/(x^2); local with radical (x)."""
-    _require_prime(p)
-    q = p * p
-    pairs = [(i % p, i // p) for i in range(q)]  # (constant, x-coefficient)
-    idx = lambda c0, c1: c0 + c1 * p
-    add = tuple(
-        tuple(idx((a0 + b0) % p, (a1 + b1) % p) for (b0, b1) in pairs)
-        for (a0, a1) in pairs
+    """Truncated polynomial ring Z_p[x]/(x^2); local with radical (x).
+
+    Element c1*p + c0 is c0 + c1*x, so a pair reads (c1, c0).
+    """
+    return _pair_ring(
+        p,
+        lambda x, y: (x[1] * y[0] + x[0] * y[1], x[1] * y[1]),
+        f"Z{p}[x]/(x^2)",
+        lambda c1, c0: _poly_name((c0, c1)),
     )
-    mul = tuple(
-        tuple(idx(a0 * b0 % p, (a0 * b1 + a1 * b0) % p) for (b0, b1) in pairs)
-        for (a0, a1) in pairs
-    )
-    names = tuple(_poly_name(pair) for pair in pairs)
-    return make_ring(add, mul, label=f"Z{p}[x]/(x^2)", element_names=names)
 
 
 def direct_sum(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

@@ -1,9 +1,9 @@
 """Structural invariants of finite rings.
 
 Zero divisors, units, the ideal lattice, the radical, subdirect
-irreducibility, direct-sum decomposition, and isomorphism testing via
-additive-basis relabeling.  Everything here is a pure function of the
-Cayley tables.
+irreducibility, direct-sum decomposition, and the canonical certificate
+that isomorphism testing reads its answer and witness off.  Everything here
+is a pure function of the Cayley tables.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ class Ideal:
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
-
-
-def make_ideal(ring: FiniteRing, members) -> Ideal:
-    """Validate a member collection as a two-sided ideal of `ring`."""
-    return Ideal(ring, rings.ideal_members(ring, members))
 
 
 def zero_divisors(ring: FiniteRing) -> set[int]:
@@ -336,7 +331,7 @@ def _std_mul(ring: FiniteRing, perm: list[int]) -> tuple[int, ...]:
 
 
 def _fingerprint(ring: FiniteRing) -> tuple:
-    """Isomorphism invariants that are cheap next to a basis search."""
+    """Isomorphism invariants that are cheap next to a canonical form."""
     return (
         addgroup.additive_type(ring.add),
         has_identity(ring) is not None,
@@ -350,48 +345,31 @@ def _fingerprint(ring: FiniteRing) -> tuple:
 def ring_isomorphic(
     r: FiniteRing, s: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP
 ) -> RingHom | None:
-    """Search for an isomorphism by backtracking over additive bases of `s`.
+    """An isomorphism r -> s read off the two canonical forms, or None.
 
-    Pairs whose cheap invariants differ are rejected before any search.
-    Otherwise both rings are viewed in the standard coordinates of their
-    common additive type; `r` is pinned to one basis and every basis of `s`
-    is tried against it.
+    Pairs whose cheap invariants differ are rejected before any
+    canonicalization.  Otherwise the rings are isomorphic exactly when their
+    certificates agree, and then each canonical basis maps standard element
+    i to an element of its ring, so basis_r[i] -> basis_s[i] is a witness.
+    Additive types beyond AUTOMORPHISM_BUDGET raise BudgetExceeded, as the
+    certificate does.
     """
     _check_cap(r, cap, "isomorphism search")
     _check_cap(s, cap, "isomorphism search")
     if r.order != s.order:
         return None
-    fingerprint = _fingerprint(r)
-    if fingerprint != _fingerprint(s):
+    if _fingerprint(r) != _fingerprint(s):
         return None
-    typ = fingerprint[0]
-    n = r.order
-    perm_r = next(addgroup.iter_basis_perms(r.add, typ))
-    target = _std_mul(r, perm_r)
-    inv_r = [0] * n
-    for i, e in enumerate(perm_r):
-        inv_r[e] = i
-    mul_s = s.mul
-    for perm_s in addgroup.iter_basis_perms(s.add, typ):
-        inv_s = [0] * n
-        for i, e in enumerate(perm_s):
-            inv_s[e] = i
-        pos = 0
-        ok = True
-        for px in perm_s:
-            row = mul_s[px]
-            for py in perm_s:
-                if inv_s[row[py]] != target[pos]:
-                    ok = False
-                    break
-                pos += 1
-            if not ok:
-                break
-        if ok:
-            hom = RingHom(r, s, tuple(perm_s[inv_r[x]] for x in range(n)))
-            assert hom.is_isomorphism
-            return hom
-    return None
+    cert_r, basis_r = _canonical(r, cap)
+    cert_s, basis_s = _canonical(s, cap)
+    if cert_r != cert_s:
+        return None
+    images = [0] * r.order
+    for i, x in enumerate(basis_r):
+        images[x] = basis_s[i]
+    hom = RingHom(r, s, tuple(images))
+    assert hom.is_isomorphism
+    return hom
 
 
 def ring_canonical_certificate(
@@ -405,6 +383,15 @@ def ring_canonical_certificate(
     every additive automorphism phi, so the table is standardized once and
     the minimum is taken over Aut(typ) in vectorized blocks.  Types whose
     automorphism group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
+    """
+    return _canonical(ring, cap)[0]
+
+
+def _canonical(ring: FiniteRing, cap: int) -> tuple[bytes, list[int]]:
+    """The certificate and a basis attaining it.
+
+    The basis maps each standard index to the ring element carrying it;
+    every minimizing basis gives the same bytes, so any one will do.
     """
     import numpy as np
 
@@ -426,16 +413,19 @@ def ring_canonical_certificate(
     width = n * n
     step = max(1, _CERTIFICATE_BLOCK // width)
     best: bytes | None = None
+    best_row = 0
     for lo in range(0, len(autos), step):
         phi = autos[lo: lo + step]
         cells = table[phi[:, :, None], phi[:, None, :]].reshape(len(phi), width)
         flat = inverses[lo: lo + step][np.arange(len(phi))[:, None], cells].tobytes()
-        cand = min(flat[i: i + width] for i in range(0, len(flat), width))
+        rows = [flat[i: i + width] for i in range(0, len(flat), width)]
+        cand = min(rows)
         if best is None or cand < best:
             best = cand
+            best_row = lo + rows.index(cand)
     assert best is not None
     header = f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode()
-    return header + best
+    return header + best, [perm0[x] for x in autos[best_row].tolist()]
 
 
 @dataclass(frozen=True)

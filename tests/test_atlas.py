@@ -191,6 +191,46 @@ def test_worker_count_invariance_small():
     assert [e.ring.add for e in one] == [e.ring.add for e in two]
 
 
+def test_each_chunk_certifies_each_class_once():
+    # An orbit that misses a presentation certifies its class twice; one
+    # that overreaches drops a class, which the class counts catch.
+    for n in (4, 8, 9):
+        for typ in atlas.abelian_group_types(n):
+            group = addgroup.std_group(typ)
+            for v in group.annihilated_by(typ[0]):
+                certs = atlas._chunk_certificates((typ, (v,)))
+                assert len(certs) == len(set(certs)), (typ, v)
+
+
+def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    serial = atlas.enumerate_rings(4)
+    monkeypatch.setattr(atlas, "ProcessPoolExecutor", SerialPool)
+    # Order 4 splits into eight scan jobs: four per additive type.
+    for cpus, expected in ((4, 4), (64, 8)):
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: cpus)
+        entries = atlas.enumerate_rings(4, workers=10**6)
+        assert pools[-1] == expected
+        assert [e.certificate for e in entries] == [e.certificate for e in serial]
+    monkeypatch.setattr(atlas.os, "cpu_count", lambda: None)
+    atlas.enumerate_rings(4, workers=10**6)
+    assert len(pools) == 2
+
+
 def test_generator_presentation_products_respect_annihilators():
     typ = (4, 2)
     group = addgroup.std_group(typ)

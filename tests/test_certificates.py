@@ -100,6 +100,29 @@ def test_ring_isomorphic_rejects_by_invariants_without_search(monkeypatch):
     assert structure.ring_isomorphic(rings.gf(2, 2), power(rings.zn(2), 2)) is None
 
 
+def test_ring_isomorphic_agrees_with_brute_force_certificates(atlas_by_order):
+    rng = random.Random(17)
+    for n in range(1, 9):
+        samples = [e.ring for e in atlas_by_order[n]]
+        samples += [relabel(ring, rng) for ring in samples if n > 2]
+        oracle = [brute_force_certificate(ring) for ring in samples]
+        for i, a in enumerate(samples):
+            for j in range(i, len(samples)):
+                hom = structure.ring_isomorphic(a, samples[j])
+                assert (hom is not None) == (oracle[i] == oracle[j])
+                if hom is not None:
+                    assert hom.is_isomorphism
+
+
+def test_ring_isomorphic_above_budget_is_refused_without_enumeration(monkeypatch):
+    gf32 = rings.gf(2, 5)
+    copy = relabel(gf32, random.Random(3))
+    refuse(monkeypatch, addgroup, "iter_basis_perms")
+    refuse(monkeypatch, addgroup, "automorphism_perms")
+    with pytest.raises(BudgetExceeded):
+        structure.ring_isomorphic(gf32, copy)
+
+
 def test_decompose_orders_equal_sizes_by_old_certificate():
     for ring in (
         rings.direct_sum(rings.n0(2, 1), rings.zn(2)),

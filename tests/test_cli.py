@@ -41,6 +41,20 @@ def test_ring_build_not_prime(capsys):
     assert "not prime" in err
 
 
+def test_ring_build_usage_errors(capsys):
+    for args, usage in (
+        (["zn"], "zn <n>"),
+        (["gf", "2"], "gf <p> <k>"),
+        (["n0", "2", "x"], "n0 <p> <n>"),
+        (["zpx2", "3", "1"], "zpx2 <p>"),
+    ):
+        code, _, err = run_cli(["ring", "build", *args], capsys)
+        assert code == 2
+        assert f"expected {usage}" in err
+    code, _, err = run_cli(["ring", "build", "foo"], capsys)
+    assert code == 2 and "unknown family 'foo'" in err
+
+
 def test_ring_build_quotient_and_sum(tmp_path, capsys):
     z9 = str(tmp_path / "z9.ring")
     run_cli(["ring", "build", "zn", "9", "--out", z9], capsys)
