@@ -20,6 +20,10 @@ from .rings import FiniteRing
 Word = tuple[int, ...]
 
 DEFAULT_EVAL_BUDGET = 10_000_000
+# A product is refused before it is built when its expansion would have more
+# terms, or a longer word, than this; parsing or substituting user text then
+# raises BudgetExceeded instead of exhausting memory.
+MAX_EXPANSION = 1 << 16
 
 
 class NcPoly:
@@ -77,6 +81,7 @@ class NcPoly:
     def __mul__(self, other: "NcPoly | int") -> "NcPoly":
         if isinstance(other, int):
             return NcPoly({w: c * other for w, c in self._terms.items()})
+        _check_expansion(self, other)
         out: dict[Word, int] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -90,16 +95,38 @@ class NcPoly:
     def __pow__(self, e: int) -> "NcPoly":
         if e < 1:
             raise ValueError("exponents must be positive")
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
+        # Square and multiply: powers of one polynomial commute.
+        out: NcPoly | None = None
+        base = self
+        while True:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if not e:
+                assert out is not None
+                return out
+            base = base * base
 
     def __repr__(self) -> str:
         return f"NcPoly({render(self)!r})"
 
 
 ZERO = NcPoly()
+
+
+def _check_expansion(p: NcPoly, q: NcPoly) -> None:
+    terms = len(p._terms) * len(q._terms)
+    if terms > MAX_EXPANSION:
+        raise BudgetExceeded(
+            f"a product of {len(p._terms)} and {len(q._terms)} terms expands to "
+            f"{terms} terms, over the limit of {MAX_EXPANSION}"
+        )
+    if terms:
+        length = max(map(len, p._terms)) + max(map(len, q._terms))
+        if length > MAX_EXPANSION:
+            raise BudgetExceeded(
+                f"a product has words of length {length}, over the limit of {MAX_EXPANSION}"
+            )
 
 
 def variable(i: int) -> NcPoly:

@@ -5,6 +5,15 @@ over the smallest non-singleton color class, keeping the lexicographically
 least adjacency bit matrix.  When the stable partition relates every pair of
 classes trivially (complete or empty), any class-respecting order gives the
 same matrix, which short-circuits highly symmetric graphs like cliques.
+
+Two leaves with the same matrix give an automorphism of the graph, and the
+search prunes by the ones it has found (McKay & Piperno, "Practical graph
+isomorphism, II", arXiv:1301.1493): at each node it skips a vertex of the
+target class that some stored automorphism fixing the individualized
+vertices maps onto an explored sibling.  The skipped subtree is the image of
+the explored one, so it holds the same matrices and can only tie; as the
+first strict minimum is kept, certificates, orderings and isomorphism
+witnesses are those of the full search.
 """
 
 from __future__ import annotations
@@ -134,28 +143,79 @@ def _emit(n: int, adj: list[set[int]], order: list[int]) -> bytes:
     return bytes(bits)
 
 
-def _search(n: int, adj: list[set[int]], colors: list[int]) -> tuple[bytes, list[int]]:
-    colors = _refine(n, adj, colors)
-    classes = _classes(n, colors)
-    if _all_pairs_trivial(adj, classes):
+def _orbit_roots(n: int, autos: list[list[int]], fixed: list[int]) -> list[int]:
+    # Union-find over the automorphisms that fix every vertex in `fixed`;
+    # entry v is a representative of the orbit of v under the group they
+    # generate.
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for auto in autos:
+        if all(auto[v] == v for v in fixed):
+            for v in range(n):
+                a, b = find(v), find(auto[v])
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def _search(n: int, adj: list[set[int]]) -> tuple[bytes, list[int]]:
+    # Leaves seen so far, keyed by their adjacency bytes.  Two leaves with
+    # the same bytes give the automorphism old_order[i] -> new_order[i].
+    leaves: dict[bytes, list[int]] = {}
+    autos: list[list[int]] = []
+
+    def leaf(colors: list[int]) -> tuple[bytes, list[int]]:
         order = sorted(range(n), key=lambda v: (colors[v], v))
-        return _emit(n, adj, order), order
-    target = min(
-        (cls for cls in classes if len(cls) > 1),
-        key=lambda cls: (len(cls), colors[cls[0]]),
-    )
-    best: tuple[bytes, list[int]] | None = None
-    pivot_color = colors[target[0]]
-    for v in target:
-        branched = [
-            c + 1 if c > pivot_color or (c == pivot_color and u != v) else c
-            for u, c in enumerate(colors)
-        ]
-        cand = _search(n, adj, branched)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    assert best is not None
-    return best
+        body = _emit(n, adj, order)
+        seen = leaves.setdefault(body, order)
+        if seen != order:
+            auto = [0] * n
+            for a, b in zip(seen, order):
+                auto[a] = b
+            autos.append(auto)
+        return body, order
+
+    def visit(colors: list[int], prefix: list[int]) -> tuple[bytes, list[int]]:
+        colors = _refine(n, adj, colors)
+        classes = _classes(n, colors)
+        if len(classes) == n or _all_pairs_trivial(adj, classes):
+            return leaf(colors)
+        target = min(
+            (cls for cls in classes if len(cls) > 1),
+            key=lambda cls: (len(cls), colors[cls[0]]),
+        )
+        best: tuple[bytes, list[int]] | None = None
+        pivot_color = colors[target[0]]
+        explored: list[int] = []
+        known = -1
+        roots: list[int] = []
+        for v in target:
+            if explored:
+                if known != len(autos):
+                    known = len(autos)
+                    roots = _orbit_roots(n, autos, prefix)
+                # The subtree under v is the image of an explored sibling's
+                # under an automorphism fixing the prefix: it can only tie.
+                if any(roots[u] == roots[v] for u in explored):
+                    continue
+            explored.append(v)
+            branched = [
+                c + 1 if c > pivot_color or (c == pivot_color and u != v) else c
+                for u, c in enumerate(colors)
+            ]
+            cand = visit(branched, prefix + [v])
+            if best is None or cand[0] < best[0]:
+                best = cand
+        assert best is not None
+        return best
+
+    return visit([0] * n, [])
 
 
 def _canonical(graph: SimpleGraph, cap: int) -> tuple[bytes, list[int]]:
@@ -165,7 +225,7 @@ def _canonical(graph: SimpleGraph, cap: int) -> tuple[bytes, list[int]]:
     header = f"G1;n={n};".encode()
     if n == 0:
         return header, []
-    body, order = _search(n, graph.adjacency(), [0] * n)
+    body, order = _search(n, graph.adjacency())
     return header + body, order
 
 

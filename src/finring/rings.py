@@ -81,13 +81,13 @@ def _check_triples_fast(n: int, add: Table, mul: Table) -> None:
     # to bound transient memory at the 256 cap.
     import numpy as np
 
-    a = np.array(add, dtype=np.int32)
-    m = np.array(mul, dtype=np.int32)
+    dtype = np.min_scalar_type(n - 1)
+    a = np.array(add, dtype=dtype)
+    m = np.array(mul, dtype=dtype)
 
     def report(axiom: str, x0: int, mismatch: "np.ndarray") -> None:
-        bad = np.argwhere(mismatch)
-        if len(bad):
-            i, y, z = (int(v) for v in bad[0])
+        if mismatch.any():
+            i, y, z = (int(v) for v in np.argwhere(mismatch)[0])
             raise AxiomViolation(axiom, (x0 + i, y, z))
 
     step = max(1, (1 << 22) // (n * n))

@@ -116,18 +116,21 @@ def _ideal_closure(ring: FiniteRing, seed: set[int]) -> frozenset[int]:
     return frozenset(members)
 
 
-def _additive_span(ring: FiniteRing, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed) | {0}
-    frontier = list(members)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in members:
-                c = ring.add[a][b]
-                if c not in members:
-                    fresh.add(c)
-        members |= fresh
-        frontier = list(fresh)
+def _join(ring: FiniteRing, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """The sum a + b of two additive subgroups, itself a subgroup.
+
+    The sum is the union of the cosets x + b for x in a, so each coset is
+    added once.
+    """
+    if a <= b:
+        return b
+    if b <= a:
+        return a
+    members: set[int] = set()
+    for x in a:
+        if x not in members:
+            row = ring.add[x]
+            members.update(row[y] for y in b)
     return frozenset(members)
 
 
@@ -140,8 +143,8 @@ def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal
     """All two-sided ideals: join-closure of the principal ideals.
 
     Every ideal is the join of the principal ideals of its elements, so
-    closing the principal ones under pairwise join (additive span of the
-    union; multiplicative closure is inherited) is exhaustive.
+    closing the principal ones under pairwise join (the sum a + b of two
+    ideals; multiplicative closure is inherited) is exhaustive.
     """
     _check_cap(ring, cap, "ideal enumeration")
     found = {frozenset({0})}
@@ -152,7 +155,7 @@ def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal
         nxt = []
         for a in worklist:
             for b in list(found):
-                join = _additive_span(ring, a | b)
+                join = _join(ring, a, b)
                 if join not in found:
                     found.add(join)
                     nxt.append(join)
@@ -184,7 +187,7 @@ def _radical(ring: FiniteRing, lattice: list[Ideal]) -> Ideal:
     acc: frozenset[int] = frozenset({0})
     for ideal in lattice:
         if _ideal_is_nilpotent(ring, ideal.members):
-            acc = _additive_span(ring, acc | frozenset(ideal.members))
+            acc = _join(ring, acc, frozenset(ideal.members))
     return Ideal(ring, tuple(sorted(acc)))
 
 

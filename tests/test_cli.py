@@ -1,7 +1,7 @@
 import subprocess
 import sys
 
-from finring import cli, rings
+from finring import cli, freealg, rings
 
 
 def run_cli(args, capsys):
@@ -116,6 +116,18 @@ def test_identity_check(tmp_path, capsys):
     assert "FAIL 2x at x=1" in out
     code, _, err = run_cli(["identity", "check", z4, "2x + ("], capsys)
     assert code == 2
+
+
+def test_identity_check_refuses_large_expansion(tmp_path, capsys, monkeypatch):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    # 300 x 300 terms is over the limit before anything is multiplied.
+    wide = "(" + " + ".join(f"x{i}" for i in range(1, 301)) + ")^2"
+    code, _, err = run_cli(["identity", "check", z2, wide], capsys)
+    assert code == 3 and "over the limit" in err
+    monkeypatch.setattr(freealg, "MAX_EXPANSION", 1 << 8)
+    code, _, err = run_cli(["identity", "check", z2, "(x+y)^40"], capsys)
+    assert code == 3 and "over the limit" in err
 
 
 def test_atlas_build_counts(capsys):

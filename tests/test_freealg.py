@@ -210,3 +210,40 @@ def test_suite_parsing(tmp_path):
     with pytest.raises(ParseError) as exc:
         fa.load_suite(bad)
     assert "line 2" in str(exc.value)
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    products = []
+    mul = fa.NcPoly.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, fa.NcPoly):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(fa.NcPoly, "__mul__", counting_mul)
+    assert fa.parse("x^8000").terms == {(1,) * 8000: 1}
+    assert len(products) <= 2 * 13
+    x_plus_y = fa.parse("x + y")
+    products.clear()
+    naive = x_plus_y
+    for _ in range(6):
+        naive = mul(naive, x_plus_y)
+    assert x_plus_y ** 7 == naive
+    assert len(products) <= 4
+
+
+def test_expansion_bound_is_checked_before_building():
+    wide = fa.NcPoly({(v,): 1 for v in range(1, 257)})
+    wider = fa.NcPoly({(v,): 1 for v in range(1, 258)})
+    fa._check_expansion(wide, wide)  # 2^16 terms: at the limit, allowed
+    with pytest.raises(BudgetExceeded):
+        wider * wide
+    with pytest.raises(BudgetExceeded):
+        wide * wider
+    long = fa.NcPoly({(1,) * (1 << 15): 1})
+    fa._check_expansion(long, long)
+    with pytest.raises(BudgetExceeded):
+        long * fa.NcPoly({(1,) * ((1 << 15) + 1): 1})
+    with pytest.raises(BudgetExceeded):
+        fa.parse("x^99999999999999")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finring import graphs, rings, structure
+from finring import atlas, graphs, rings, structure
 from finring.errors import FormatError, GraphCapExceeded
 
 
@@ -29,6 +29,54 @@ def brute_iso(g, h):
         return None
 
     return rec([])
+
+
+def unpruned_search(n, adj, colors):
+    """The canonical search without automorphism pruning (oracle).
+
+    Tries every leaf of the individualization-refinement tree and keeps the
+    first strict minimum in iteration order.
+    """
+    colors = graphs._refine(n, adj, colors)
+    classes = graphs._classes(n, colors)
+    if graphs._all_pairs_trivial(adj, classes):
+        order = sorted(range(n), key=lambda v: (colors[v], v))
+        return graphs._emit(n, adj, order), order
+    target = min(
+        (cls for cls in classes if len(cls) > 1),
+        key=lambda cls: (len(cls), colors[cls[0]]),
+    )
+    best = None
+    pivot_color = colors[target[0]]
+    for v in target:
+        branched = [
+            c + 1 if c > pivot_color or (c == pivot_color and u != v) else c
+            for u, c in enumerate(colors)
+        ]
+        cand = unpruned_search(n, adj, branched)
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def unpruned_canonical(graph):
+    n = graph.vertex_count
+    header = f"G1;n={n};".encode()
+    if n == 0:
+        return header, []
+    body, order = unpruned_search(n, graph.adjacency(), [0] * n)
+    return header + body, order
+
+
+def power(ring, k):
+    out = ring
+    for _ in range(k - 1):
+        out = rings.direct_sum(out, ring)
+    return out
+
+
+def relabeled(graph, perm):
+    return graphs.make_graph(graph.vertex_count, [(perm[a], perm[b]) for a, b in graph.edges])
 
 
 def test_zero_divisor_graph_examples():
@@ -181,3 +229,75 @@ def test_make_graph_validation():
         graphs.make_graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         graphs.make_graph(2, [(0, 5)])
+
+
+def test_pruned_search_matches_unpruned_on_atlas_graphs():
+    for n in range(1, 16):
+        for entry in atlas.enumerate_rings(n, cap=16):
+            graph = graphs.zero_divisor_graph(entry.ring)
+            assert graphs._canonical(graph, 64) == unpruned_canonical(graph), entry.ring.label
+
+
+def test_pruned_search_matches_unpruned_on_symmetric_rings():
+    z2, z3, gf4, z4 = rings.zn(2), rings.zn(3), rings.gf(2, 2), rings.zn(4)
+    family = [power(z2, k) for k in range(1, 7)]
+    family += [rings.matrix_ring(z2, 2), power(z3, 3), power(gf4, 3), power(z4, 2)]
+    for ring in family:
+        graph = graphs.zero_divisor_graph(ring)
+        assert graphs._canonical(graph, 64) == unpruned_canonical(graph), ring.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.data())
+def test_pruned_search_matches_unpruned_on_random_graphs(n, data):
+    edges_all = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = data.draw(st.lists(st.sampled_from(edges_all), max_size=30) if edges_all else st.just([]))
+    perm = data.draw(st.permutations(list(range(n))))
+    g = graphs.make_graph(n, picks)
+    for graph in (g, relabeled(g, perm)):
+        assert graphs._canonical(graph, 64) == unpruned_canonical(graph)
+
+
+def test_orbits_use_only_automorphisms_fixing_the_prefix():
+    swap_01 = [1, 0, 2, 3, 4]
+    swap_23 = [0, 1, 3, 2, 4]
+    cycle_234 = [0, 1, 3, 4, 2]
+    assert graphs._orbit_roots(5, [swap_01, swap_23], []) == [0, 0, 2, 2, 4]
+    assert graphs._orbit_roots(5, [swap_01, swap_23], [0]) == [0, 1, 2, 2, 4]
+    assert graphs._orbit_roots(5, [swap_01, cycle_234], [2]) == [0, 0, 2, 3, 4]
+
+
+Z2_5_CERTIFICATE = (
+    "00000080000004000000400000080000020000700001500009200088801060040a0202"
+    "4200c400b000c27c25d49c8d6557261c34b3ffe0"
+)
+Z2_6_CERTIFICATE = (
+    "0000000000000100000000000000080000000000000080000000000000100000000000"
+    "000400000000000002000000000001c000000000000a8000000000009200000000001110"
+    "00000000042100000000020600000000020280000000040240000000100440000000800c"
+    "00000008005000000100048000004000600000200014000020000600004011f000010045"
+    "d00008022720008022388010040d60040102aa0200812a42008064c40100a4b004018"
+    "8c000981c000940d001240c8043016021405420c0260b001c2a00353000be000384cfe12"
+    "afa933e466ecaaeb99cc3ae2d6b55f270783a365cffffe0"
+)
+
+
+@pytest.mark.parametrize(
+    "k, certificate, max_leaves",
+    [(5, Z2_5_CERTIFICATE, 32), (6, Z2_6_CERTIFICATE, 64)],
+)
+def test_boolean_ring_graphs_pruned(monkeypatch, k, certificate, max_leaves):
+    # Aut of the zero-divisor graph of Z2^k contains S_k: 120 and 720 leaves
+    # without pruning.
+    leaves = []
+    emit = graphs._emit
+
+    def counting_emit(n, adj, order):
+        leaves.append(order)
+        return emit(n, adj, order)
+
+    monkeypatch.setattr(graphs, "_emit", counting_emit)
+    graph = graphs.zero_divisor_graph(power(rings.zn(2), k))
+    n = graph.vertex_count
+    assert graphs.canonical_form(graph) == f"G1;n={n};".encode() + bytes.fromhex(certificate)
+    assert len(leaves) <= max_leaves

@@ -248,6 +248,43 @@ def test_large_order_uses_fast_validation():
         rings.make_ring(m.add, bad_mul)
 
 
+def _power(ring, k):
+    out = ring
+    for _ in range(k - 1):
+        out = rings.direct_sum(out, ring)
+    return out
+
+
+def _corrupted(ring, which, cells):
+    tables = {"add": [list(r) for r in ring.add], "mul": [list(r) for r in ring.mul]}
+    for i, j, v in cells:
+        tables[which][i][j] = v
+    return tables["add"], tables["mul"]
+
+
+@pytest.mark.parametrize(
+    "build, which, cells, axiom, witness",
+    [
+        (lambda: rings.zn(32), "mul", [(3, 5, 16)], "mul-associative", (2, 3, 5)),
+        (lambda: rings.gf(2, 6), "mul", [(40, 41, 7)], "mul-associative", (2, 20, 41)),
+        (lambda: _power(rings.zn(2), 6), "add", [(9, 20, 3), (20, 9, 3)],
+         "add-associative", (1, 8, 20)),
+        (lambda: rings.matrix_ring(rings.zn(4), 2), "mul", [(200, 100, 1)],
+         "mul-associative", (1, 200, 100)),
+        (lambda: rings.matrix_ring(rings.zn(4), 2), "add", [(77, 150, 0), (150, 77, 0)],
+         "add-associative", (1, 76, 150)),
+    ],
+    ids=["Z32-mul", "GF64-mul", "Z2^6-add", "M2(Z4)-mul", "M2(Z4)-add"],
+)
+def test_fast_validation_reports_first_violation(build, which, cells, axiom, witness):
+    # Orders 32, 64 and 256 take the vectorized path; the axiom and witness
+    # are the ones the int32 tables reported.
+    add, mul = _corrupted(build(), which, cells)
+    with pytest.raises(AxiomViolation) as info:
+        rings.make_ring(add, mul)
+    assert (info.value.axiom, info.value.witness) == (axiom, witness)
+
+
 # --- ringtab format ---
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finring import rings, structure
+from finring import atlas, rings, structure
 from finring.errors import NoIdentity, OrderCapExceeded
 
 
@@ -244,3 +244,56 @@ def test_relabeled_copy_is_isomorphic(perm, which):
     assert structure.ring_canonical_certificate(copy) == structure.ring_canonical_certificate(base)
     hom = structure.ring_isomorphic(base, copy)
     assert hom is not None and hom.is_isomorphism
+
+
+def _fixpoint_span(ring, seed):
+    members = set(seed) | {0}
+    frontier = list(members)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in members:
+                c = ring.add[a][b]
+                if c not in members:
+                    fresh.add(c)
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
+
+
+def _fixpoint_lattice(ring):
+    """Ideals by closing the principal ideals under the additive span of
+    unions until nothing new appears, and the radical as the span of every
+    nilpotent ideal (oracle)."""
+    found = {frozenset({0})}
+    for x in range(1, ring.order):
+        found.add(structure._ideal_closure(ring, {x}))
+    worklist = list(found)
+    while worklist:
+        nxt = []
+        for a in worklist:
+            for b in list(found):
+                join = _fixpoint_span(ring, a | b)
+                if join not in found:
+                    found.add(join)
+                    nxt.append(join)
+        worklist = nxt
+    radical = frozenset({0})
+    for ideal in found:
+        if structure._ideal_is_nilpotent(ring, tuple(sorted(ideal))):
+            radical = _fixpoint_span(ring, radical | ideal)
+    lattice = sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
+    return lattice, tuple(sorted(radical))
+
+
+def test_ideals_and_radical_match_fixpoint_oracle():
+    family = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    z2 = rings.zn(2)
+    boolean = z2
+    for _ in range(5):
+        boolean = rings.direct_sum(boolean, z2)
+    family += [boolean, rings.gf(7, 2), rings.matrix_ring(z2, 2)]
+    for ring in family:
+        lattice, radical = _fixpoint_lattice(ring)
+        assert [i.members for i in structure.ideals(ring)] == lattice, ring.label
+        assert structure.jacobson_radical(ring).members == radical, ring.label
