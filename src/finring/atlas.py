@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import addgroup, freealg, graphs, rings, structure
 from .errors import FormatError, OrderCapExceeded
@@ -30,10 +31,18 @@ SCAN_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class AtlasEntry:
+    """One class as an atlas file stores it; report and graph form are computed on first read."""
+
     ring: FiniteRing
     certificate: bytes
-    report: StructureReport
-    graph_certificate: bytes
+
+    @cached_property
+    def report(self) -> StructureReport:
+        return structure.structure_report(self.ring)
+
+    @cached_property
+    def graph_certificate(self) -> bytes:
+        return graphs.canonical_form(graphs.zero_divisor_graph(self.ring))
 
 
 def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -245,11 +254,9 @@ def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
 
 
 def make_entry(ring: FiniteRing, *, certificate: bytes | None = None) -> AtlasEntry:
-    """Wrap a ring with its certificate, structure report, and graph certificate."""
+    """Wrap a ring with its certificate, computed unless one is given."""
     cert = certificate if certificate is not None else structure.ring_canonical_certificate(ring)
-    report = structure.structure_report(ring)
-    graph = graphs.zero_divisor_graph(ring)
-    return AtlasEntry(ring, cert, report, graphs.canonical_form(graph))
+    return AtlasEntry(ring, cert)
 
 
 def enumerate_rings(
@@ -301,21 +308,18 @@ def rings_with_graph(
     n_max: int,
     graph: graphs.SimpleGraph,
     *,
+    provider,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    workers: int = 1,
-    provider=None,
 ) -> list[AtlasEntry]:
     """Atlas entries of order 1..n_max whose zero-divisor graph matches `graph`.
 
-    `provider` may supply the per-order entry lists (e.g. a cache); it
-    defaults to enumerate_rings.
+    `provider` maps an order to its entry list, e.g. an AtlasCache's `get`.
     """
     _check_enum_cap(n_max, cap)
     target = graphs.canonical_form(graph)
-    get = provider or (lambda m: enumerate_rings(m, cap=cap, workers=workers))
     out = []
     for m in range(1, n_max + 1):
-        out.extend(e for e in get(m) if e.graph_certificate == target)
+        out.extend(e for e in provider(m) if e.graph_certificate == target)
     return out
 
 

@@ -21,8 +21,9 @@ Word = tuple[int, ...]
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 # A product is refused before it is built when its expansion would have more
-# terms, or a longer word, than this; parsing or substituting user text then
-# raises BudgetExceeded instead of exhausting memory.
+# terms, or a longer word, than this, and a coefficient once it has more bits;
+# parsing or substituting user text then raises BudgetExceeded instead of
+# exhausting memory.
 MAX_EXPANSION = 1 << 16
 
 
@@ -41,6 +42,7 @@ class NcPoly:
                 raise ValueError("constant terms are not representable")
             if any(v < 1 for v in word):
                 raise ValueError("variable indices start at 1")
+            _check_bits(coeff.bit_length())
             clean[word] = coeff
         self._terms = clean
 
@@ -127,6 +129,13 @@ def _check_expansion(p: NcPoly, q: NcPoly) -> None:
             raise BudgetExceeded(
                 f"a product has words of length {length}, over the limit of {MAX_EXPANSION}"
             )
+
+
+def _check_bits(bits: int) -> None:
+    if bits > MAX_EXPANSION:
+        raise BudgetExceeded(
+            f"a coefficient of {bits} bits is over the limit of {MAX_EXPANSION}"
+        )
 
 
 def variable(i: int) -> NcPoly:
@@ -241,6 +250,7 @@ class _Parser:
             saw_factor = True
             factor_scalar, factor_poly = self.parse_factor()
             coeff *= factor_scalar
+            _check_bits(coeff.bit_length())
             if factor_poly is not None:
                 poly = factor_poly if poly is None else poly * factor_poly
         if not saw_factor:
@@ -262,6 +272,9 @@ class _Parser:
             if poly is not None:
                 poly = poly ** exponent
             else:
+                # A lower bound on the bits of the power; parse_term checks
+                # the power itself.
+                _check_bits((scalar.bit_length() - 1) * exponent + 1)
                 scalar = scalar ** exponent
         return scalar, poly
 

@@ -34,11 +34,6 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
 
-    def label_of(self, v: int) -> str:
-        if self.labels is not None:
-            return self.labels[v]
-        return str(v)
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:

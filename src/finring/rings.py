@@ -33,9 +33,6 @@ class FiniteRing:
             return self.element_names[x]
         return str(x)
 
-    def neg(self, x: int) -> int:
-        return self.add[x].index(0)
-
     def __repr__(self) -> str:
         return f"FiniteRing(order={self.order}, label={self.label!r})"
 
@@ -117,6 +114,28 @@ def _check_axioms(n: int, add: Table, mul: Table) -> None:
         _check_triples(n, add, mul)
 
 
+# Orders with more bits than this are named as base^exp without computing them.
+_MAX_ORDER_BITS = 1 << 16
+
+
+def _check_order(base: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
+    """The order base^exp, or OrderCapExceeded if it is over the cap.
+
+    Families call this before building a table.  An order too long to print
+    in decimal is named as base^exp.
+    """
+    if base > 1 and exp * base.bit_length() > _MAX_ORDER_BITS:
+        raise OrderCapExceeded(f"order {base}^{exp} exceeds the cap of {order_cap}")
+    n = base ** exp
+    if n > order_cap:
+        try:
+            name = str(n)
+        except ValueError:
+            name = f"{base}^{exp}"
+        raise OrderCapExceeded(f"order {name} exceeds the cap of {order_cap}")
+    return n
+
+
 def make_ring(
     add: Sequence[Sequence[int]],
     mul: Sequence[Sequence[int]],
@@ -133,8 +152,7 @@ def make_ring(
     n = len(add)
     if n == 0:
         raise AxiomViolation("table-shape", (0,), "a ring needs at least the zero element")
-    if n > order_cap:
-        raise OrderCapExceeded(f"order {n} exceeds the cap of {order_cap}")
+    _check_order(n, order_cap=order_cap)
     add_t = _as_table(add, n, "add")
     mul_t = _as_table(mul, n, "mul")
     _check_axioms(n, add_t, mul_t)
@@ -155,6 +173,7 @@ def zn(n: int) -> FiniteRing:
     """Residue-class ring modulo n; n = 1 gives the zero ring."""
     if n < 1:
         raise ValueError("order must be at least 1")
+    _check_order(n)
     add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
     return make_ring(add, mul, label=f"Z{n}", element_names=tuple(str(i) for i in range(n)))
@@ -235,9 +254,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     _require_prime(p)
     if k < 1:
         raise ValueError("extension degree must be at least 1")
-    q = p ** k
-    if q > order_cap:
-        raise OrderCapExceeded(f"order {q} exceeds the cap of {order_cap}")
+    q = _check_order(p, k, order_cap=order_cap)
     modulus = _least_irreducible(p, k)
 
     def digits(i: int) -> list[int]:
@@ -273,7 +290,7 @@ def n0(p: int, n: int = 1) -> FiniteRing:
     _require_prime(p)
     if n < 1:
         raise ValueError("exponent must be at least 1")
-    q = p ** n
+    q = _check_order(p, n)
     add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
     mul = tuple(tuple(0 for _ in range(q)) for _ in range(q))
     names = ("0",) + tuple("a" if i == 1 else f"{i}a" for i in range(1, q))
@@ -283,7 +300,7 @@ def n0(p: int, n: int = 1) -> FiniteRing:
 def np2(p: int) -> FiniteRing:
     """Cyclic ring of order p^2 generated by a with a*a = p*a."""
     _require_prime(p)
-    q = p * p
+    q = _check_order(p, 2)
     add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
     mul = tuple(tuple(i * j * p % q for j in range(q)) for i in range(q))
     names = ("0",) + tuple("a" if i == 1 else f"{i}a" for i in range(1, q))
@@ -297,7 +314,7 @@ def _pair_ring(p: int, product, label: str, name=lambda a, b: f"({a},{b})") -> F
     here) and `name` maps a pair to its element name.
     """
     _require_prime(p)
-    pairs = [(i // p, i % p) for i in range(p * p)]
+    pairs = [(i // p, i % p) for i in range(_check_order(p, 2))]
     idx = lambda a, b: a % p * p + b % p
     add = tuple(tuple(idx(a1 + a2, b1 + b2) for (a2, b2) in pairs) for (a1, b1) in pairs)
     mul = tuple(tuple(idx(*product(x, y)) for y in pairs) for x in pairs)
@@ -367,9 +384,7 @@ def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) ->
     """Ring of k x k matrices over r, with entries packed base |r| row-major."""
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
-    n = r.order ** (k * k)
-    if n > order_cap:
-        raise OrderCapExceeded(f"order {n} exceeds the cap of {order_cap}")
+    n = _check_order(r.order, k * k, order_cap=order_cap)
     ro = r.order
     cells = k * k
 

@@ -8,7 +8,7 @@ is a pure function of the Cayley tables.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import addgroup, rings
@@ -164,13 +164,18 @@ def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal
     return [Ideal(ring, tuple(sorted(s))) for s in ordered]
 
 
-def _ideal_is_nilpotent(ring: FiniteRing, members: tuple[int, ...]) -> bool:
+def _ideal_is_nilpotent(ring: FiniteRing, members: Sequence[int]) -> int | None:
+    """Least k with every k-fold product in the ideal `members` zero, or None.
+    Each product set lies inside the one before, so a repeat never reaches {0}."""
     current = set(members)
-    for _ in range(len(members) + 1):
-        if current == {0}:
-            return True
-        current = {ring.mul[a][b] for a in current for b in members}
-    return current == {0}
+    power = 1
+    while current != {0}:
+        following = {ring.mul[a][b] for a in current for b in members}
+        if following == current:
+            return None
+        current = following
+        power += 1
+    return power
 
 
 def jacobson_radical(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> Ideal:
@@ -186,22 +191,14 @@ def jacobson_radical(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
 def _radical(ring: FiniteRing, lattice: list[Ideal]) -> Ideal:
     acc: frozenset[int] = frozenset({0})
     for ideal in lattice:
-        if _ideal_is_nilpotent(ring, ideal.members):
+        if _ideal_is_nilpotent(ring, ideal.members) is not None:
             acc = _join(ring, acc, frozenset(ideal.members))
     return Ideal(ring, tuple(sorted(acc)))
 
 
 def is_nilpotent_ring(ring: FiniteRing) -> int | None:
     """Least n with every n-fold product zero, or None if there is none."""
-    n = ring.order
-    current = set(range(n))
-    power = 1
-    while current != {0}:
-        if power > n + 1:
-            return None
-        current = {ring.mul[a][b] for a in current for b in range(n)}
-        power += 1
-    return power
+    return _ideal_is_nilpotent(ring, range(ring.order))
 
 
 def is_subdirectly_irreducible(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:

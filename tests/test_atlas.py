@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -240,3 +241,38 @@ def test_generator_presentation_products_respect_annihilators():
             for j in range(2):
                 g = math.gcd(typ[i], typ[j])
                 assert group.smul[g][products[i * 2 + j]] == 0
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("called")
+
+
+def test_entries_store_only_ring_and_certificate(tmp_path, monkeypatch, atlas_by_order):
+    assert [f.name for f in dataclasses.fields(atlas.AtlasEntry)] == ["ring", "certificate"]
+    path = tmp_path / "atlas-8.txt"
+    atlas.save_atlas(atlas_by_order[8], path)
+    monkeypatch.setattr(structure, "structure_report", _refuse)
+    monkeypatch.setattr(graphs, "canonical_form", _refuse)
+    for n in (4, 6, 8):
+        entries = atlas.enumerate_rings(n)
+        assert [e.certificate for e in entries] == [e.certificate for e in atlas_by_order[n]]
+    loaded = atlas.load_atlas(path)
+    assert [e.certificate for e in loaded] == [e.certificate for e in atlas_by_order[8]]
+
+
+def test_entry_invariants_match_direct_computation(atlas_by_order):
+    for entries in atlas_by_order.values():
+        for entry in entries:
+            assert entry.report == structure.structure_report(entry.ring)
+            graph = graphs.zero_divisor_graph(entry.ring)
+            assert entry.graph_certificate == graphs.canonical_form(graph)
+
+
+def test_entry_invariants_are_computed_once(monkeypatch):
+    entry = atlas.make_entry(rings.zn(6))
+    report, graph_certificate = entry.report, entry.graph_certificate
+    monkeypatch.setattr(structure, "structure_report", _refuse)
+    monkeypatch.setattr(graphs, "zero_divisor_graph", _refuse)
+    monkeypatch.setattr(graphs, "canonical_form", _refuse)
+    assert entry.report is report
+    assert entry.graph_certificate is graph_certificate

@@ -211,3 +211,17 @@ def test_cli_module_entrypoint():
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["ring", "info", "/nonexistent/thing.ring"], capsys)
     assert code == 2
+
+
+def test_ring_build_far_over_cap_is_a_cap_error(capsys):
+    code, out, err = run_cli(["ring", "build", "gf", "2", "20000"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: order 2^20000 exceeds the cap of 256\n"
+
+
+def test_identity_check_refuses_large_coefficients(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    for text in ("2^70000x", "(2^300x)^300"):
+        code, _, err = run_cli(["identity", "check", z2, text], capsys)
+        assert code == 3 and "coefficient" in err and "over the limit" in err

@@ -247,3 +247,20 @@ def test_expansion_bound_is_checked_before_building():
         long * fa.NcPoly({(1,) * ((1 << 15) + 1): 1})
     with pytest.raises(BudgetExceeded):
         fa.parse("x^99999999999999")
+
+
+def test_coefficient_bound():
+    limit = fa.MAX_EXPANSION
+    assert fa.parse(f"2^{limit - 1}x").terms == {(1,): 2 ** (limit - 1)}
+    for text in (
+        f"2^{limit}x",  # a scalar power, refused before it is computed
+        "2^9999999x",
+        f"2^{limit // 2} 2^{limit // 2} x",  # scalars multiplied within a term
+        f"2^{limit // 2} 2^{limit // 2}",  # ... checked before the term is complete
+        "(2^300x)^300",  # repeated squaring
+        f"(2^{limit // 2}x)(2^{limit // 2}y)",  # a polynomial product
+    ):
+        with pytest.raises(BudgetExceeded):
+            fa.parse(text)
+    with pytest.raises(BudgetExceeded):
+        fa.scale(2 ** limit, fa.variable(1))

@@ -337,3 +337,52 @@ def test_relabeling_zn6_is_isomorphic(perm):
     mul = [[sigma[z6.mul[inv[x]][inv[y]]] for y in range(6)] for x in range(6)]
     shuffled = rings.make_ring(add, mul)
     assert structure.ring_canonical_certificate(shuffled) == structure.ring_canonical_certificate(z6)
+
+
+def test_families_check_the_order_cap_before_building(monkeypatch):
+    z2 = rings.zn(2)
+    monkeypatch.setattr(rings, "make_ring", lambda *a, **k: pytest.fail("table built"))
+    for build in (
+        lambda: rings.zn(300),
+        lambda: rings.n0(2, 9),
+        lambda: rings.np2(17),
+        lambda: rings.npp(17),
+        lambda: rings.ap(17),
+        lambda: rings.ap0(17),
+        lambda: rings.zpx_mod_x2(17),
+        lambda: rings.gf(2, 9),
+        lambda: rings.matrix_ring(z2, 3),
+    ):
+        with pytest.raises(OrderCapExceeded):
+            build()
+
+
+def test_order_cap_messages():
+    with pytest.raises(OrderCapExceeded, match=r"^order 300 exceeds the cap of 256$"):
+        rings.zn(300)
+    with pytest.raises(OrderCapExceeded, match=r"^order 2048 exceeds the cap of 256$"):
+        rings.gf(2, 11)
+    # Too long to print in decimal: named as a power.  Over 2^16 bits the
+    # order is not even computed.
+    with pytest.raises(OrderCapExceeded, match=r"^order 2\^20000 exceeds the cap of 256$"):
+        rings.gf(2, 20000)
+    with pytest.raises(OrderCapExceeded, match=r"^order 2\^1000000 exceeds"):
+        rings.gf(2, 10**6)
+    with pytest.raises(OrderCapExceeded, match=r"^combined order 300 exceeds"):
+        rings.direct_sum(rings.zn(100), rings.zn(3))
+
+
+def test_nilpotency_index_matches_power_loop(atlas_by_order):
+    def oracle(ring):
+        # Every k-fold product is a product of k elements; run n + 1 rounds.
+        current, power = set(range(ring.order)), 1
+        for _ in range(ring.order + 1):
+            if current == {0}:
+                return power
+            current = {ring.mul[a][b] for a in current for b in range(ring.order)}
+            power += 1
+        return None
+
+    for entries in atlas_by_order.values():
+        for entry in entries:
+            assert structure.is_nilpotent_ring(entry.ring) == oracle(entry.ring)
