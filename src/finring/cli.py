@@ -168,10 +168,16 @@ def _cmd_identity(args) -> int:
     return 0 if all_ok else 1
 
 
-def _parse_graph_spec(spec: str) -> graphs.SimpleGraph:
+def _parse_graph_spec(spec: str, max_order: int, cap: int) -> graphs.SimpleGraph:
     match = re.fullmatch(r"[Kk](\d+)", spec)
     if match:
-        return graphs.complete_graph(int(match.group(1)))
+        n = int(match.group(1))
+        # An over-cap clique is refused unbuilt, after the enumeration cap
+        # that rings_with_graph checks first.
+        if n > graphs.DEFAULT_GRAPH_CAP:
+            atlas._check_enum_cap(max_order, cap)
+            graphs._check_graph_cap(n)
+        return graphs.complete_graph(n)
     with open(spec, "r", encoding="utf-8") as fh:
         return graphs.parse_dot(fh.read())
 
@@ -185,7 +191,7 @@ def _cmd_atlas(args) -> int:
         if args.out:
             atlas.save_atlas(entries, args.out)
         return 0
-    graph = _parse_graph_spec(args.graph)
+    graph = _parse_graph_spec(args.graph, args.max_order, cap)
     cache = scenarios.AtlasCache(args.atlas_dir, cap=cap, workers=args.workers)
     matches = atlas.rings_with_graph(args.max_order, graph, cap=cap, provider=cache.get)
     for entry in matches:

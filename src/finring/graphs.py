@@ -213,10 +213,14 @@ def _search(n: int, adj: list[set[int]]) -> tuple[bytes, list[int]]:
     return visit([0] * n, [])
 
 
-def _canonical(graph: SimpleGraph, cap: int) -> tuple[bytes, list[int]]:
-    n = graph.vertex_count
+def _check_graph_cap(n: int, cap: int = DEFAULT_GRAPH_CAP) -> None:
     if n > cap:
         raise GraphCapExceeded(f"graph has {n} vertices, cap is {cap}")
+
+
+def _canonical(graph: SimpleGraph, cap: int) -> tuple[bytes, list[int]]:
+    n = graph.vertex_count
+    _check_graph_cap(n, cap)
     header = f"G1;n={n};".encode()
     if n == 0:
         return header, []

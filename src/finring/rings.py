@@ -52,66 +52,49 @@ def _as_table(raw: Sequence[Sequence[int]], n: int, which: str) -> Table:
     return tuple(rows)
 
 
-def _check_triples(n: int, add: Table, mul: Table) -> None:
-    rng = range(n)
-    for x in rng:
-        add_x, mul_x = add[x], mul[x]
-        for y in rng:
-            a_xy = add_x[y]
-            m_xy = mul_x[y]
-            add_axy, mul_mxy = add[a_xy], mul[m_xy]
-            add_y, mul_y = add[y], mul[y]
-            mul_axy = mul[a_xy]
-            for z in rng:
-                if add_axy[z] != add_x[add_y[z]]:
-                    raise AxiomViolation("add-associative", (x, y, z))
-                if mul_mxy[z] != mul_x[mul_y[z]]:
-                    raise AxiomViolation("mul-associative", (x, y, z))
-                if mul_x[add_y[z]] != add[m_xy][mul_x[z]]:
-                    raise AxiomViolation("left-distributive", (x, y, z))
-                if mul_axy[z] != add[mul_x[z]][mul_y[z]]:
-                    raise AxiomViolation("right-distributive", (x, y, z))
-
-
-def _check_triples_fast(n: int, add: Table, mul: Table) -> None:
-    # Vectorized version of the four cubic laws; chunked over the first axis
-    # to bound transient memory at the 256 cap.
-    import numpy as np
-
-    dtype = np.min_scalar_type(n - 1)
-    a = np.array(add, dtype=dtype)
-    m = np.array(mul, dtype=dtype)
-
-    def report(axiom: str, x0: int, mismatch: "np.ndarray") -> None:
-        if mismatch.any():
-            i, y, z = (int(v) for v in np.argwhere(mismatch)[0])
-            raise AxiomViolation(axiom, (x0 + i, y, z))
-
-    step = max(1, (1 << 22) // (n * n))
-    for x0 in range(0, n, step):
-        xs = np.arange(x0, min(n, x0 + step))
-        report("add-associative", x0, a[a[xs], :] != a[xs][:, a])
-        report("mul-associative", x0, m[m[xs], :] != m[xs][:, m])
-        report("left-distributive", x0, m[xs][:, a] != a[m[xs][:, :, None], m[xs][:, None, :]])
-        report("right-distributive", x0, m[a[xs], :] != a[m[xs][:, None, :], m[None, :, :]])
+# Below this order the tables fit one chunk, and a violation is reported at
+# the least (x, y, z) and then in law order; from it up, at the first failing
+# law in a chunk and then at its least triple.
+_LEAST_TRIPLE_BELOW = 32
+_CUBIC_LAWS = ("add-associative", "mul-associative", "left-distributive", "right-distributive")
 
 
 def _check_axioms(n: int, add: Table, mul: Table) -> None:
-    rng = range(n)
-    for x in rng:
-        if add[0][x] != x:
-            raise AxiomViolation("zero-identity", (x,))
-    for x in rng:
-        row = add[x]
-        for y in rng:
-            if row[y] != add[y][x]:
-                raise AxiomViolation("add-commutative", (x, y))
-        if 0 not in row:
-            raise AxiomViolation("add-inverse", (x,))
-    if n >= 32:
-        _check_triples_fast(n, add, mul)
-    else:
-        _check_triples(n, add, mul)
+    import numpy as np
+
+    a = np.array(add, dtype=np.min_scalar_type(n - 1))
+    m = np.array(mul, dtype=a.dtype)
+    bad = np.flatnonzero(a[0] != np.arange(n))
+    if bad.size:
+        raise AxiomViolation("zero-identity", (int(bad[0]),))
+    noncommuting = a != a.T
+    bad = np.flatnonzero(noncommuting.any(axis=1) | ~(a == 0).any(axis=1))
+    if bad.size:
+        x = int(bad[0])
+        if noncommuting[x].any():
+            raise AxiomViolation("add-commutative", (x, int(noncommuting[x].argmax())))
+        raise AxiomViolation("add-inverse", (x,))
+    # The cubic laws, chunked over x to bound transient memory at the 256
+    # cap; each mask is freed before the next is built.
+    step = max(1, (1 << 22) // (n * n))
+    for x0 in range(0, n, step):
+        ax, mx = a[x0:x0 + step], m[x0:x0 + step]
+        laws = (
+            lambda: a.take(ax, axis=0) != ax.take(a, axis=1),
+            lambda: m.take(mx, axis=0) != mx.take(m, axis=1),
+            lambda: mx.take(a, axis=1) != a[mx[:, :, None], mx[:, None, :]],
+            lambda: m.take(ax, axis=0) != a[mx[:, None, :], m],
+        )
+        for law, mismatch in enumerate(laws):
+            mask = mismatch()
+            if mask.any():
+                if n < _LEAST_TRIPLE_BELOW:
+                    mask = np.stack([f() for f in laws], axis=-1)
+                    x, y, z, law = np.unravel_index(mask.argmax(), mask.shape)
+                else:
+                    x, y, z = np.unravel_index(mask.argmax(), mask.shape)
+                raise AxiomViolation(_CUBIC_LAWS[law], (x0 + int(x), int(y), int(z)))
+            del mask
 
 
 # Orders with more bits than this are named as base^exp without computing them.
@@ -164,8 +147,44 @@ def make_ring(
     return FiniteRing(n, add_t, mul_t, label, names)
 
 
-def _require_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+# Miller-Rabin on the primes up to 37 as bases decides primality exactly below
+# psi_12 (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _require_prime(p: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> None:
+    """NotPrime unless p is prime, for a family of order p^exp.
+
+    From psi_12 up the test is no longer known to be exact and one base costs
+    seconds on the longest ints, so there the order is checked against the
+    cap first: it is at least p.
+    """
+    if p >= _MR_EXACT_BELOW:
+        _check_order(p, max(exp, 1), order_cap=order_cap)
+    if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
 
@@ -251,7 +270,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     Element i encodes the polynomial whose coefficient of x^j is the j-th
     base-p digit of i, so 0..p-1 is the prime subfield.
     """
-    _require_prime(p)
+    _require_prime(p, k, order_cap=order_cap)
     if k < 1:
         raise ValueError("extension degree must be at least 1")
     q = _check_order(p, k, order_cap=order_cap)
@@ -287,7 +306,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
 
 def n0(p: int, n: int = 1) -> FiniteRing:
     """Null ring on a cyclic group of order p^n: every product is zero."""
-    _require_prime(p)
+    _require_prime(p, n)
     if n < 1:
         raise ValueError("exponent must be at least 1")
     q = _check_order(p, n)
@@ -299,7 +318,7 @@ def n0(p: int, n: int = 1) -> FiniteRing:
 
 def np2(p: int) -> FiniteRing:
     """Cyclic ring of order p^2 generated by a with a*a = p*a."""
-    _require_prime(p)
+    _require_prime(p, 2)
     q = _check_order(p, 2)
     add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
     mul = tuple(tuple(i * j * p % q for j in range(q)) for i in range(q))
@@ -313,7 +332,7 @@ def _pair_ring(p: int, product, label: str, name=lambda a, b: f"({a},{b})") -> F
     `product` maps two pairs to the pair of their product (reduced mod p
     here) and `name` maps a pair to its element name.
     """
-    _require_prime(p)
+    _require_prime(p, 2)
     pairs = [(i // p, i % p) for i in range(_check_order(p, 2))]
     idx = lambda a, b: a % p * p + b % p
     add = tuple(tuple(idx(a1 + a2, b1 + b2) for (a2, b2) in pairs) for (a1, b1) in pairs)
@@ -385,6 +404,10 @@ def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) ->
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
     n = _check_order(r.order, k * k, order_cap=order_cap)
+    label = f"M{k}({r.label})" if r.label else None
+    if n == 1:
+        # Over the zero ring every matrix is zero, whatever k is.
+        return make_ring(((0,),), ((0,),), label=label, order_cap=order_cap)
     ro = r.order
     cells = k * k
 
@@ -418,7 +441,6 @@ def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) ->
                     prod.append(acc)
             row.append(index(prod))
         mul_rows.append(tuple(row))
-    label = f"M{k}({r.label})" if r.label else None
     return make_ring(add, tuple(mul_rows), label=label, order_cap=order_cap)
 
 

@@ -1,7 +1,8 @@
 import subprocess
 import sys
+import time
 
-from finring import cli, freealg, rings
+from finring import cli, freealg, graphs, rings
 
 
 def run_cli(args, capsys):
@@ -225,3 +226,35 @@ def test_identity_check_refuses_large_coefficients(tmp_path, capsys):
     for text in ("2^70000x", "(2^300x)^300"):
         code, _, err = run_cli(["identity", "check", z2, text], capsys)
         assert code == 3 and "coefficient" in err and "over the limit" in err
+
+
+def test_ring_build_huge_prime_is_a_cap_error(capsys):
+    p = "1" + "0" * 4298 + "3"
+    start = time.perf_counter()
+    code, out, err = run_cli(["ring", "build", "npp", p], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: order {p}^2 exceeds the cap of 256\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_atlas_query_refuses_large_clique_unbuilt(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "complete_graph", lambda n: pytest.fail("clique built"))
+    bad_dot = tmp_path / "bad.dot"
+    bad_dot.write_text("bad\n", encoding="utf-8")
+    override = "# enumeration cap override: 16 (FINRING_ENUM_CAP)\n"
+    for spec, max_order, env, expected in (
+        ("K65", 4, None, (3, "", "error: graph has 65 vertices, cap is 64\n")),
+        ("K0065", -1, None, (3, "", "error: graph has 65 vertices, cap is 64\n")),
+        ("k100000", 9, None, (3, "", "error: graph has 100000 vertices, cap is 64\n")),
+        ("K100000", 17, None, (3, "", "error: enumeration of order 17 exceeds the cap of 9\n")),
+        ("K100000", 16, "16", (3, override, "error: graph has 100000 vertices, cap is 64\n")),
+        ("K100000", 17, "16", (3, override, "error: enumeration of order 17 exceeds the cap of 16\n")),
+        ("K100000", 4, "99", (2, "", "error: FINRING_ENUM_CAP must be between 1 and 16\n")),
+        (str(bad_dot), 4, None, (2, "", "error: expected a 'graph {' header\n")),
+    ):
+        if env is None:
+            monkeypatch.delenv(cli.ENUM_CAP_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENUM_CAP_VAR, env)
+        args = ["atlas", "query", "--graph", spec, "--max-order", str(max_order)]
+        assert run_cli(args, capsys) == expected, spec

@@ -3,15 +3,18 @@
 A change that promises the same answers must leave these hashes alone.  The
 atlas hashes cover the `save_atlas` bytes of orders 1..9 (certificates and
 ringtab blocks); the verify hashes cover the full stdout of each scenario
-run against the session atlas directory.
+run against the session atlas directory; the `ring info` hashes cover the
+report of family rings, and the corrupted tables pin the exact axiom and
+witness that validation prints.
 """
 
+import functools
 import hashlib
 import os
 
 import pytest
 
-from finring import cli, scenarios
+from finring import cli, rings, scenarios
 
 ATLAS_SHA256 = {
     1: "cb929b800d4f7530f13d4aefec2722b41c77cc00bdbfdc333b645ea4dc401dad",
@@ -51,3 +54,65 @@ def test_verify_stdout_bytes(atlas_dir, capsys, monkeypatch, name):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == VERIFY_SHA256[name]
+
+
+RING_INFO_SHA256 = {
+    "M2(Z2)": (lambda: rings.matrix_ring(rings.zn(2), 2),
+               "04a6c7939f15d6bc08d58860c930b117ae36d2f0ec420fdfcd4aa3a97d703a41"),
+    "GF(16)": (lambda: rings.gf(2, 4),
+               "789de8972202ba7e201ce3cdb70d011c3cc680e6d0f27ac005b417a35dc0e59f"),
+    "GF(27)": (lambda: rings.gf(3, 3),
+               "47b811cbf402b5c2a21babfc535a5cda364beceeca010c22506ff1a55a957e40"),
+    "GF(49)": (lambda: rings.gf(7, 2),
+               "cef9441950bfd7d2bd0a39d4ad541813250101fbe27098bb1bee9f4a84da1dde"),
+    "Z2^6": (lambda: functools.reduce(rings.direct_sum, [rings.zn(2)] * 6),
+             "bdc12f48e68a5ab9d1b1c6413a7de92c7ebab1bb3ea15c3f7988950403ebba49"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_INFO_SHA256))
+def test_ring_info_stdout_bytes(tmp_path, capsys, name):
+    build, digest = RING_INFO_SHA256[name]
+    path = tmp_path / "ring.txt"
+    rings.write_ringtab(build(), path)
+    code = cli.main(["ring", "info", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == digest
+
+
+# One table cell changed in a family ring: (table, row, column, new value)
+# and the exact stderr of `ring info` on the unlabeled ringtab file.
+CORRUPTED_RING_INFO = {
+    4: (lambda: rings.zn(4), ("mul", 1, 1, 2),
+        "error: left-distributive fails at (1, 1, 1)\n"),
+    9: (lambda: rings.gf(3, 2), ("mul", 8, 4, 6),
+        "error: right-distributive fails at (1, 7, 4)\n"),
+    16: (lambda: rings.gf(2, 4), ("mul", 3, 15, 12),
+         "error: right-distributive fails at (1, 2, 15)\n"),
+    27: (lambda: rings.gf(3, 3), ("mul", 1, 7, 24),
+         "error: left-distributive fails at (1, 1, 6)\n"),
+    32: (lambda: rings.zn(32), ("mul", 3, 5, 16),
+         "error: mul-associative fails at (2, 3, 5)\n"),
+    64: (lambda: rings.gf(2, 6), ("add", 40, 41, 0),
+         "error: add-commutative fails at (40, 41)\n"),
+    256: (lambda: rings.matrix_ring(rings.zn(4), 2), ("mul", 200, 100, 1),
+          "error: mul-associative fails at (1, 200, 100)\n"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(CORRUPTED_RING_INFO))
+def test_ring_info_corrupted_table_stderr(tmp_path, capsys, order):
+    build, (which, i, j, v), expected = CORRUPTED_RING_INFO[order]
+    ring = build()
+    tables = {"add": [list(row) for row in ring.add], "mul": [list(row) for row in ring.mul]}
+    tables[which][i][j] = v
+    lines = ["ringtab 1", f"order {order}", "add"]
+    lines += [" ".join(map(str, row)) for row in tables["add"]]
+    lines.append("mul")
+    lines += [" ".join(map(str, row)) for row in tables["mul"]]
+    path = tmp_path / "ring.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli.main(["ring", "info", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", expected)

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,3 +389,50 @@ def test_nilpotency_index_matches_power_loop(atlas_by_order):
     for entries in atlas_by_order.values():
         for entry in entries:
             assert structure.is_nilpotent_ring(entry.ring) == oracle(entry.ring)
+
+
+def test_prime_test_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    for p in range(-3, 20000):
+        try:
+            rings._require_prime(p)
+            verdict = True
+        except NotPrime as exc:
+            assert str(exc) == f"{p} is not prime"
+            verdict = False
+        assert verdict == trial(p), p
+
+
+def test_prime_test_refuses_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7.
+    for p in (561, 3215031751):
+        with pytest.raises(NotPrime, match=rf"^{p} is not prime$"):
+            rings._require_prime(p)
+        with pytest.raises(NotPrime):
+            rings.npp(p)
+
+
+def test_large_prime_is_refused_by_the_cap_at_once():
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceeded, match=r"^order 100000000000740000000001369 exceeds"):
+        rings.npp(10000000000037)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_matrix_ring_over_zero_ring():
+    for k in range(1, 5):
+        ring = rings.matrix_ring(rings.zn(1), k)
+        assert (ring.order, ring.add, ring.mul, ring.label, ring.element_names) == (
+            1, ((0,),), ((0,),), f"M{k}(Z1)", None)
+    start = time.perf_counter()
+    assert rings.matrix_ring(rings.zn(1), 10**6).label == "M1000000(Z1)"
+    assert time.perf_counter() - start < 1
+    unlabeled = rings.make_ring([[0]], [[0]])
+    assert rings.matrix_ring(unlabeled, 3).label is None
+    with pytest.raises(OrderCapExceeded):
+        rings.matrix_ring(rings.zn(1), 2, order_cap=0)
+    with pytest.raises(ValueError):
+        rings.matrix_ring(rings.zn(1), 0)
