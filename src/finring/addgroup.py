@@ -169,6 +169,19 @@ def std_group(typ: tuple[int, ...]) -> StdGroup:
 
 
 @lru_cache(maxsize=None)
+def std_arrays(typ: tuple[int, ...]):
+    """The standard group's add, smul and digit tables as read-only int32
+    arrays; the digits have shape (order, len(typ))."""
+    import numpy as np
+
+    group = std_group(typ)
+    arrays = tuple(np.array(t, dtype=np.int32) for t in (group.add, group.smul, group.digits))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def automorphism_count(typ: tuple[int, ...]) -> int:
     """|Aut| of the standard group of `typ`, in closed form.
 

@@ -125,9 +125,7 @@ def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tup
         group.annihilated_by(math.gcd(typ[i], typ[j])) for (i, j) in positions
     ]
     allowed[0] = tuple(v for v in allowed[0] if v in set(first_vals))
-    add_np = np.array(group.add, dtype=np.int32)
-    smul_np = np.array(group.smul, dtype=np.int32)
-    dig_np = np.array(group.digits, dtype=np.int32).reshape(group.order, k)
+    add_np, smul_np, dig_np = addgroup.std_arrays(typ)
 
     frontier = np.zeros((1, 0), dtype=np.int32)
     for t, _pos in enumerate(positions):
@@ -154,31 +152,6 @@ def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tup
     return [tuple(int(v) for v in row) for row in frontier[:, order_cols]]
 
 
-def _tensor_table(group: addgroup.StdGroup, products: tuple[int, ...]) -> rings.Table:
-    n = group.order
-    k = len(group.typ)
-    rows = []
-    for x in range(n):
-        dx = group.digits[x]
-        row = []
-        for y in range(n):
-            dy = group.digits[y]
-            acc = 0
-            for i in range(k):
-                ci = dx[i]
-                if not ci:
-                    continue
-                for j in range(k):
-                    cj = dy[j]
-                    if not cj:
-                        continue
-                    g = math.gcd(group.typ[i], group.typ[j])
-                    acc = group.add[acc][group.smul[ci * cj % g][products[i * k + j]]]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[bytes]:
     """Worker body: scan one chunk and return the certificates of the classes
     first seen inside it (orbit-deduplicated locally)."""
@@ -197,10 +170,9 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[by
     for products in _scan_tensors(typ, first_vals):
         if products in seen:
             continue
-        table = _tensor_table(group, products)
-        ring = rings.make_ring(group.add, table)
+        ring = rings.from_products(typ, products)
         certs.append(structure.ring_canonical_certificate(ring))
-        cells = np.array(table, dtype=np.uint8)[inv_gens[:, :, None], inv_gens[:, None, :]]
+        cells = np.array(ring.mul, dtype=np.uint8)[inv_gens[:, :, None], inv_gens[:, None, :]]
         seen.update(map(tuple, autos[rows, cells.reshape(len(autos), -1)].tolist()))
     return certs
 

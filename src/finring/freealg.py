@@ -25,6 +25,9 @@ DEFAULT_EVAL_BUDGET = 10_000_000
 # parsing or substituting user text then raises BudgetExceeded instead of
 # exhausting memory.
 MAX_EXPANSION = 1 << 16
+# Parentheses and commutator brackets nest at most this deep; the parser
+# recurses once per level.
+MAX_NESTING = 100
 
 
 class NcPoly:
@@ -202,6 +205,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -238,7 +242,10 @@ class _Parser:
     def parse_term(self) -> NcPoly:
         start = self.tokens[self.pos][2] if self.pos < len(self.tokens) else len(self.text)
         coeff = 1
-        poly: NcPoly | None = None
+        # The factors multiply as a balanced tree, so a word of length L costs
+        # O(L log L) rather than O(L^2): blocks holds (factor count, product)
+        # with counts falling, and two blocks of one count merge.
+        blocks: list[tuple[int, NcPoly]] = []
         saw_factor = False
         while True:
             kind = self.peek()
@@ -252,14 +259,21 @@ class _Parser:
             coeff *= factor_scalar
             _check_bits(coeff.bit_length())
             if factor_poly is not None:
-                poly = factor_poly if poly is None else poly * factor_poly
+                count = 1
+                while blocks and blocks[-1][0] == count:
+                    factor_poly = blocks.pop()[1] * factor_poly
+                    count *= 2
+                blocks.append((count, factor_poly))
         if not saw_factor:
             tok = self.next()
             raise ParseError(f"expected a term, found {tok[0]!r}", tok[2])
-        if poly is None:
+        if not blocks:
             if coeff != 0:
                 raise ParseError("constant terms are not allowed", start)
             return ZERO
+        poly = blocks.pop()[1]
+        while blocks:
+            poly = blocks.pop()[1] * poly
         return coeff * poly
 
     def parse_factor(self) -> tuple[int, NcPoly | None]:
@@ -284,17 +298,22 @@ class _Parser:
             return value, None
         if kind == "var":
             return 1, variable(value)
+        if kind not in ("(", "["):
+            raise ParseError(f"expected an atom, found {kind!r}", pos)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {MAX_NESTING}", pos)
+        self.depth += 1
         if kind == "(":
-            inner = self.parse_expr()
+            poly = self.parse_expr()
             self.expect(")")
-            return 1, inner
-        if kind == "[":
+        else:
             left = self.parse_expr()
             self.expect(",")
             right = self.parse_expr()
             self.expect("]")
-            return 1, left * right - right * left
-        raise ParseError(f"expected an atom, found {kind!r}", pos)
+            poly = left * right - right * left
+        self.depth -= 1
+        return 1, poly
 
 
 def parse(text: str) -> NcPoly:

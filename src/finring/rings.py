@@ -188,23 +188,44 @@ def _require_prime(p: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) 
         raise NotPrime(f"{p} is not prime")
 
 
+def from_products(
+    typ: tuple[int, ...],
+    products: Sequence[int],
+    label: str | None = None,
+    element_names: Sequence[str] | None = None,
+    *,
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> FiniteRing:
+    """Ring on the standard group of `typ` whose product is the bilinear
+    extension of the generator products.
+
+    products[i * k + j] is gen_i * gen_j, for k = len(typ), so x * y is the
+    sum over i, j of (x_i * y_j mod gcd(typ[i], typ[j])) * products[i * k + j].
+    """
+    import numpy as np
+
+    _check_order(math.prod(typ), order_cap=order_cap)
+    group = addgroup.std_group(typ)
+    add, smul, digits = addgroup.std_arrays(typ)
+    k = len(typ)
+    mul = np.zeros((group.order, group.order), dtype=np.int32)
+    for i in range(k):
+        for j in range(k):
+            product = products[i * k + j]
+            if product:
+                coeff = np.multiply.outer(digits[:, i], digits[:, j]) % math.gcd(typ[i], typ[j])
+                mul = add[mul, smul[coeff, product]]
+    return make_ring(group.add, mul.tolist(), label, element_names, order_cap=order_cap)
+
+
 def zn(n: int) -> FiniteRing:
     """Residue-class ring modulo n; n = 1 gives the zero ring."""
     if n < 1:
         raise ValueError("order must be at least 1")
     _check_order(n)
-    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
-    return make_ring(add, mul, label=f"Z{n}", element_names=tuple(str(i) for i in range(n)))
-
-
-def _poly_mul_mod(p: int, a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+    # The trivial group has no generator.
+    typ, products = ((n,), (1,)) if n > 1 else ((), ())
+    return from_products(typ, products, f"Z{n}", tuple(str(i) for i in range(n)))
 
 
 def _poly_rem(p: int, a: list[int], m: list[int]) -> list[int]:
@@ -275,33 +296,15 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         raise ValueError("extension degree must be at least 1")
     q = _check_order(p, k, order_cap=order_cap)
     modulus = _least_irreducible(p, k)
-
-    def digits(i: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
-
-    def index(ds: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(list(ds) + [0] * (k - len(ds))):
-            idx = idx * p + c
-        return idx
-
-    add = tuple(
-        tuple(index([(a + b) % p for a, b in zip(digits(i), digits(j))]) for j in range(q))
-        for i in range(q)
-    )
-    mul_rows = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            prod = _poly_rem(p, _poly_mul_mod(p, digits(i), digits(j)), modulus)
-            row.append(index(prod))
-        mul_rows.append(tuple(row))
-    names = tuple(_poly_name(digits(i)) for i in range(q))
-    return make_ring(add, tuple(mul_rows), label=f"GF({q})", element_names=names)
+    # powers[e] is the element x^e; a remainder lists coefficients from x^0 up.
+    powers = [sum(c * p ** d for d, c in enumerate(_poly_rem(p, [0] * e + [1], modulus)))
+              for e in range(2 * k - 1)]
+    # Generator t is x^(k-1-t), since standard digits run from the most
+    # significant, so gen_s * gen_t = x^(2k-2-s-t).
+    products = [powers[2 * k - 2 - s - t] for s in range(k) for t in range(k)]
+    typ = (p,) * k
+    names = tuple(_poly_name(d[::-1]) for d in addgroup.std_group(typ).digits)
+    return from_products(typ, products, f"GF({q})", names, order_cap=order_cap)
 
 
 def n0(p: int, n: int = 1) -> FiniteRing:
@@ -310,35 +313,28 @@ def n0(p: int, n: int = 1) -> FiniteRing:
     if n < 1:
         raise ValueError("exponent must be at least 1")
     q = _check_order(p, n)
-    add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
-    mul = tuple(tuple(0 for _ in range(q)) for _ in range(q))
     names = ("0",) + tuple("a" if i == 1 else f"{i}a" for i in range(1, q))
-    return make_ring(add, mul, label=f"N0_{q}", element_names=names)
+    return from_products((q,), (0,), f"N0_{q}", names)
 
 
 def np2(p: int) -> FiniteRing:
     """Cyclic ring of order p^2 generated by a with a*a = p*a."""
     _require_prime(p, 2)
     q = _check_order(p, 2)
-    add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
-    mul = tuple(tuple(i * j * p % q for j in range(q)) for i in range(q))
     names = ("0",) + tuple("a" if i == 1 else f"{i}a" for i in range(1, q))
-    return make_ring(add, mul, label=f"N{q}", element_names=names)
+    return from_products((q,), (p,), f"N{q}", names)
 
 
-def _pair_ring(p: int, product, label: str, name=lambda a, b: f"({a},{b})") -> FiniteRing:
+def _pair_ring(p: int, products: tuple[int, int, int, int], label: str,
+               name=lambda a, b: f"({a},{b})") -> FiniteRing:
     """Ring on pairs (a, b) over GF(p), element a*p + b, added componentwise.
 
-    `product` maps two pairs to the pair of their product (reduced mod p
-    here) and `name` maps a pair to its element name.
+    `products` lists e*e, e*f, f*e and f*f for e = (1, 0) = p and
+    f = (0, 1) = 1, and `name` maps a pair to its element name.
     """
     _require_prime(p, 2)
-    pairs = [(i // p, i % p) for i in range(_check_order(p, 2))]
-    idx = lambda a, b: a % p * p + b % p
-    add = tuple(tuple(idx(a1 + a2, b1 + b2) for (a2, b2) in pairs) for (a1, b1) in pairs)
-    mul = tuple(tuple(idx(*product(x, y)) for y in pairs) for x in pairs)
-    names = tuple(name(a, b) for a, b in pairs)
-    return make_ring(add, mul, label=label, element_names=names)
+    names = tuple(name(i // p, i % p) for i in range(_check_order(p, 2)))
+    return from_products((p, p), products, label, names)
 
 
 def npp(p: int) -> FiniteRing:
@@ -347,7 +343,7 @@ def npp(p: int) -> FiniteRing:
     An element is a pair (a, b): superdiagonal a (twice) and corner b, so
     (a, b)(c, d) = (0, a*c); characteristic p, cube zero.
     """
-    return _pair_ring(p, lambda x, y: (0, x[0] * y[0]), f"N{p},{p}")
+    return _pair_ring(p, (1, 0, 0, 0), f"N{p},{p}")
 
 
 def ap(p: int) -> FiniteRing:
@@ -355,7 +351,7 @@ def ap(p: int) -> FiniteRing:
 
     (x, y)(u, v) = (x*u, x*v); the element (1, 0) is a left identity.
     """
-    return _pair_ring(p, lambda x, y: (x[0] * y[0], x[0] * y[1]), f"A{p}")
+    return _pair_ring(p, (p, 1, 0, 0), f"A{p}")
 
 
 def ap0(p: int) -> FiniteRing:
@@ -363,20 +359,15 @@ def ap0(p: int) -> FiniteRing:
 
     (x, y)(u, v) = (x*u, y*u); the element (1, 0) is a right identity.
     """
-    return _pair_ring(p, lambda x, y: (x[0] * y[0], x[1] * y[0]), f"A{p}^0")
+    return _pair_ring(p, (p, 0, 1, 0), f"A{p}^0")
 
 
 def zpx_mod_x2(p: int) -> FiniteRing:
     """Truncated polynomial ring Z_p[x]/(x^2); local with radical (x).
 
-    Element c1*p + c0 is c0 + c1*x, so a pair reads (c1, c0).
+    Element c1*p + c0 is c0 + c1*x, so a pair reads (c1, c0): e = x, f = 1.
     """
-    return _pair_ring(
-        p,
-        lambda x, y: (x[1] * y[0] + x[0] * y[1], x[1] * y[1]),
-        f"Z{p}[x]/(x^2)",
-        lambda c1, c0: _poly_name((c0, c1)),
-    )
+    return _pair_ring(p, (0, p, p, 1), f"Z{p}[x]/(x^2)", lambda c1, c0: _poly_name((c0, c1)))
 
 
 def direct_sum(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

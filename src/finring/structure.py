@@ -235,14 +235,12 @@ def is_field(ring: FiniteRing) -> bool:
 
 
 def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
-    """True iff the quotient by the radical is a field (identity required)."""
+    """True iff every element is a unit or lies in the radical J (identity
+    required).  Then R/J is a finite division ring, hence a field.
+    """
     if has_identity(ring) is None:
         raise NoIdentity("locality is only defined for rings with identity")
-    return _is_local(ring, jacobson_radical(ring, cap=cap))
-
-
-def _is_local(ring: FiniteRing, radical: Ideal) -> bool:
-    return is_field(rings.quotient(ring, radical))
+    return len(units(ring) | set(jacobson_radical(ring, cap=cap).members)) == ring.order
 
 
 def _restrict(ring: FiniteRing, members: tuple[int, ...]) -> FiniteRing:
@@ -489,7 +487,7 @@ def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
         has_identity=identity,
         is_commutative=is_commutative(ring),
         is_field=is_field(ring),
-        is_local=identity is not None and _is_local(ring, radical),
+        is_local=identity is not None and len(units(ring) | set(radical.members)) == ring.order,
         is_nilpotent=is_nilpotent_ring(ring),
         is_subdirectly_irreducible=_meet_is_nonzero(members),
         is_decomposable=_find_split(ring, members, frozenset(range(ring.order))) is not None,

@@ -258,3 +258,35 @@ def test_atlas_query_refuses_large_clique_unbuilt(tmp_path, capsys, monkeypatch)
             monkeypatch.setenv(cli.ENUM_CAP_VAR, env)
         args = ["atlas", "query", "--graph", spec, "--max-order", str(max_order)]
         assert run_cli(args, capsys) == expected, spec
+
+
+def test_identity_check_refuses_deep_nesting(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    limit = freealg.MAX_NESTING
+    code, out, _ = run_cli(["identity", "check", z2, "(" * limit + "2x" + ")" * limit], capsys)
+    assert code == 0 and out.startswith("PASS")
+    commutator = "[" * limit + "x,y]" + ",x]" * (limit - 1)
+    code, _, _ = run_cli(["identity", "check", z2, commutator], capsys)
+    assert code == 0
+    for depth in (limit + 1, 10000):
+        for text in ("(" * depth + "x" + ")" * depth, "[" * depth + "x,y]" + ",x]" * (depth - 1)):
+            start = time.perf_counter()
+            code, out, err = run_cli(["identity", "check", z2, text], capsys)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err == f"error: brackets nest deeper than {limit} (at position {limit})\n"
+    suite = tmp_path / "deep.suite"
+    suite.write_text("xy - yx\n" + "(" * 10000 + "x" + ")" * 10000 + "\n")
+    code, out, err = run_cli(["identity", "check", z2, str(suite)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 2: brackets nest deeper than {limit} (at position {limit})")
+
+
+def test_identity_check_long_words(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    code, out, _ = run_cli(["identity", "check", z2, "x" * 60000 + " - x"], capsys)
+    assert code == 0 and out.endswith(" - x\n") and out.startswith("PASS xxx")
+    code, out, err = run_cli(["identity", "check", z2, "x" * (freealg.MAX_EXPANSION + 1)], capsys)
+    assert (code, out) == (3, "") and "over the limit" in err

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,3 +266,51 @@ def test_coefficient_bound():
             fa.parse(text)
     with pytest.raises(BudgetExceeded):
         fa.scale(2 ** limit, fa.variable(1))
+
+
+def _nested_commutator(depth):
+    # [[...[x, x], x]...]: each level adds one bracket, and the value is 0.
+    return "[" * depth + "x,x]" + ",x]" * (depth - 1)
+
+
+def test_nesting_bound():
+    limit = fa.MAX_NESTING
+    assert fa.parse("(" * limit + "x" + ")" * limit) == fa.variable(1)
+    assert fa.parse(_nested_commutator(limit)).is_zero
+    assert fa.parse("(" * (limit // 2) + _nested_commutator(limit // 2) + ")" * (limit // 2)).is_zero
+    for text in (
+        "(" * (limit + 1) + "x" + ")" * (limit + 1),
+        "(" * 10000 + "x" + ")" * 10000,
+        _nested_commutator(limit + 1),
+        _nested_commutator(10000),
+        "(" * (limit // 2) + _nested_commutator(limit // 2 + 1) + ")" * (limit // 2),
+    ):
+        with pytest.raises(ParseError, match=rf"nest deeper than {limit} \(at position {limit}\)"):
+            fa.parse(text)
+
+
+def test_long_juxtaposed_word_parses_fast():
+    start = time.perf_counter()
+    word = fa.parse("x" * 60000)
+    assert time.perf_counter() - start < 2.0
+    assert word == fa.parse("x^60000")
+    assert fa.parse("xy" * 3 + "z") == fa.parse("xyxyxyz")
+    with pytest.raises(BudgetExceeded):
+        fa.parse("x" * (fa.MAX_EXPANSION + 1))
+
+
+small_factors = st.lists(
+    st.dictionaries(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+                    st.integers(-3, 3), min_size=1, max_size=3).map(fa.NcPoly),
+    min_size=1, max_size=9,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_factors)
+def test_balanced_product_equals_left_fold(factors):
+    text = "".join(f"({fa.render(f)})" for f in factors)
+    left_fold = factors[0]
+    for factor in factors[1:]:
+        left_fold = left_fold * factor
+    assert fa.parse(text) == left_fold

@@ -5,7 +5,9 @@ atlas hashes cover the `save_atlas` bytes of orders 1..9 (certificates and
 ringtab blocks); the verify hashes cover the full stdout of each scenario
 run against the session atlas directory; the `ring info` hashes cover the
 report of family rings, and the corrupted tables pin the exact axiom and
-witness that validation prints.
+witness that validation prints.  The family hashes cover the tables, label
+and element names of every family builder over a parameter grid, and the
+refusals pin what `ring build` prints for bad parameters.
 """
 
 import functools
@@ -116,3 +118,55 @@ def test_ring_info_corrupted_table_stderr(tmp_path, capsys, order):
     code = cli.main(["ring", "info", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", expected)
+
+
+# Family rings over a grid of parameters: one sha256 per family of the
+# (label, add, mul, element_names) reprs of its rings in grid order.
+_PRIMES = (2, 3, 5, 7, 11)
+_PRIME_POWERS = [(p, k) for p in _PRIMES for k in range(1, 8) if p ** k <= 128]
+FAMILY_GRID_SHA256 = {
+    "zn": ([(n,) for n in range(1, 61)],
+           "f553d16b0cb8caf1babac9411c586ab5ba16d20aa7f0dbc27cfcd1a8f79a3651"),
+    "gf": (_PRIME_POWERS + [(2, 8)],
+           "1f419bf5df2c2c301e48b98fe6007da6816a1f82c96e516c223170215592ecaa"),
+    "n0": (_PRIME_POWERS,
+           "dc01e7dffedeab25a90ed18c7dbec85b35885062cfc0c0033b37773ed8a0c3e8"),
+    "np2": ([(p,) for p in _PRIMES],
+            "458e833bdda11cfc5d7e7547237470654616c6cd9ceec86e4201ba18b7731d64"),
+    "npp": ([(p,) for p in _PRIMES],
+            "48711ddc3b7b7c41e81850e7af6fa2c4d20659c6480979cf88add23ac26f41bc"),
+    "ap": ([(p,) for p in _PRIMES],
+           "d2407db545a4de87d58094dc4b0a36d110afaac54e6e4c5dbdeb5f709e713603"),
+    "ap0": ([(p,) for p in _PRIMES],
+            "b760547de0ee81d26cc3d12b947938de3d3ecaf286d08f08bb05c90ad8ddad92"),
+    "zpx2": ([(p,) for p in _PRIMES],
+             "6fbf3ef49697a8203d8d02c960efc4113a34ee031baabf719453f119fd8c088e"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_GRID_SHA256))
+def test_family_table_bytes(family):
+    grid, digest = FAMILY_GRID_SHA256[family]
+    build = cli._INT_FAMILIES[family][0]
+    h = hashlib.sha256()
+    for args in grid:
+        ring = build(*args)
+        h.update(repr((ring.label, ring.add, ring.mul, ring.element_names)).encode())
+    assert h.hexdigest() == digest
+
+
+FAMILY_BUILD_ERRORS = {
+    ("zn", "0"): (2, "error: order must be at least 1\n"),
+    ("zn", "257"): (3, "error: order 257 exceeds the cap of 256\n"),
+    ("gf", "4", "2"): (2, "error: 4 is not prime\n"),
+    ("gf", "2", "0"): (2, "error: extension degree must be at least 1\n"),
+    ("npp", "15"): (2, "error: 15 is not prime\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FAMILY_BUILD_ERRORS))
+def test_family_build_refusals(capsys, argv):
+    code = cli.main(["ring", "build", *argv])
+    captured = capsys.readouterr()
+    expected_code, expected_err = FAMILY_BUILD_ERRORS[argv]
+    assert (code, captured.out, captured.err) == (expected_code, "", expected_err)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finring import rings, structure
+from finring import addgroup, atlas, rings, structure
 from finring.errors import AxiomViolation, FormatError, NotPrime, OrderCapExceeded
 
 
@@ -436,3 +436,60 @@ def test_matrix_ring_over_zero_ring():
         rings.matrix_ring(rings.zn(1), 2, order_cap=0)
     with pytest.raises(ValueError):
         rings.matrix_ring(rings.zn(1), 0)
+
+
+def _tensor_loop(typ, products):
+    """The bilinear extension as a per-entry loop over generator pairs."""
+    group = addgroup.std_group(typ)
+    k = len(typ)
+    rows = []
+    for dx in group.digits:
+        row = []
+        for dy in group.digits:
+            acc = 0
+            for i in range(k):
+                for j in range(k):
+                    c = dx[i] * dy[j] % math.gcd(typ[i], typ[j])
+                    acc = group.add[acc][group.smul[c][products[i * k + j]]]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_from_products_matches_the_per_entry_loop():
+    checked = 0
+    for n in (2, 3, 4, 8, 9):
+        for typ in atlas.abelian_group_types(n):
+            for products in atlas._scan_tensors(typ, tuple(range(n))):
+                ring = rings.from_products(typ, products)
+                assert ring.mul == _tensor_loop(typ, products)
+                assert ring.add == addgroup.std_group(typ).add
+                checked += 1
+    assert checked > 1000
+
+
+def test_from_products_families():
+    assert rings.from_products((6,), (1,)).mul == rings.zn(6).mul
+    assert rings.from_products((), ()).mul == ((0,),)
+    # GF(4) on x^2 = x + 1: generators x (index 2) and 1 (index 1).
+    gf4 = rings.from_products((2, 2), (3, 2, 2, 1), "GF(4)")
+    assert (gf4.mul, gf4.label) == (rings.gf(2, 2).mul, "GF(4)")
+    # e*e = f and f*e = e for e = (1, 0), f = (0, 1): (ee)e = e but e(ee) = 0.
+    with pytest.raises(AxiomViolation, match="mul-associative"):
+        rings.from_products((2, 2), (1, 0, 2, 0))
+    with pytest.raises(ValueError, match="expected 4 element names"):
+        rings.from_products((2, 2), (0, 0, 0, 0), element_names=("0",))
+
+
+def test_from_products_checks_the_cap_first(monkeypatch):
+    monkeypatch.setattr(addgroup, "std_group", lambda typ: pytest.fail("group built"))
+    with pytest.raises(OrderCapExceeded, match=r"^order 512 exceeds the cap of 256$"):
+        rings.from_products((2,) * 9, (0,) * 81)
+    with pytest.raises(OrderCapExceeded, match=r"^order 9 exceeds the cap of 8$"):
+        rings.from_products((3, 3), (0,) * 4, order_cap=8)
+
+
+def test_gf_builds_up_to_its_order_cap():
+    assert rings.gf(257, 1, order_cap=257).order == 257
+    with pytest.raises(OrderCapExceeded, match=r"^order 8 exceeds the cap of 4$"):
+        rings.gf(2, 3, order_cap=4)

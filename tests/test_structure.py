@@ -297,3 +297,24 @@ def test_ideals_and_radical_match_fixpoint_oracle():
         lattice, radical = _fixpoint_lattice(ring)
         assert [i.members for i in structure.ideals(ring)] == lattice, ring.label
         assert structure.jacobson_radical(ring).members == radical, ring.label
+
+
+def _is_local_by_quotient(ring):
+    """Locality as R/J being a field, through the quotient ring."""
+    return structure.is_field(rings.quotient(ring, structure.jacobson_radical(ring)))
+
+
+def test_is_local_matches_the_quotient_field_test(atlas_by_order):
+    entries = [e for n in range(1, 10) for e in atlas_by_order[n]]
+    entries += [e for n in range(10, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    candidates = [e.ring for e in entries] + [
+        rings.gf(2, 4), rings.gf(7, 2), rings.gf(2, 5), rings.matrix_ring(rings.zn(2), 2),
+        rings.zn(64), rings.zn(49), rings.zpx_mod_x2(7), rings.zn(1),
+    ]
+    unital = [r for r in candidates if structure.has_identity(r) is not None]
+    assert len(unital) == 42
+    verdicts = [structure.is_local(r) for r in unital]
+    assert verdicts == [_is_local_by_quotient(r) for r in unital]
+    assert verdicts == [structure.structure_report(r).is_local for r in unital]
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert structure.is_local(rings.zn(1))
