@@ -8,7 +8,6 @@ the first factor most significant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,28 +143,21 @@ class StdGroup:
 @lru_cache(maxsize=None)
 def std_group(typ: tuple[int, ...]) -> StdGroup:
     """Build (and memoize) the standard group for an abelian type."""
-    order = math.prod(typ)
-    digits = tuple(itertools.product(*(range(m) for m in typ)))
-    index_of = {d: i for i, d in enumerate(digits)}
-    k = len(typ)
-    add = tuple(
-        tuple(
-            index_of[tuple((a[i] + b[i]) % typ[i] for i in range(k))]
-            for b in digits
-        )
-        for a in digits
-    )
-    gens = tuple(
-        index_of[tuple(1 if j == i else 0 for j in range(k))] for i in range(k)
-    )
+    import numpy as np
+
+    order, k = math.prod(typ), len(typ)
+    # Mixed radix, first factor most significant: x = digits(x) @ weights.
+    radix = np.array(typ, dtype=np.int64)
+    weights = np.array([math.prod(typ[i + 1:]) for i in range(k)], dtype=np.int64)
+    digits = np.indices(typ).reshape(k, order).T
+    add = (digits[:, None, :] + digits[None, :, :]) % radix @ weights
     top = max(typ) if typ else 0
-    smul = tuple(
-        tuple(
-            index_of[tuple(c * d[i] % typ[i] for i in range(k))] for d in digits
-        )
-        for c in range(top + 1)
-    )
-    return StdGroup(typ, order, add, digits, gens, smul)
+    smul = np.arange(top + 1)[:, None, None] * digits % radix @ weights
+
+    def tuples(table) -> Table:
+        return tuple(map(tuple, table.tolist()))
+
+    return StdGroup(typ, order, tuples(add), tuples(digits), tuple(weights.tolist()), tuples(smul))
 
 
 @lru_cache(maxsize=None)

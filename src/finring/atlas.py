@@ -188,10 +188,7 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
     group = addgroup.std_group(typ)
     if group.order != n or len(table_bytes) != n * n:
         raise FormatError("ring certificate does not match its header")
-    mul = tuple(
-        tuple(table_bytes[x * n + y] for y in range(n)) for x in range(n)
-    )
-    return rings.make_ring(group.add, mul)
+    return rings.make_ring(group.add, [table_bytes[x * n:(x + 1) * n] for x in range(n)])
 
 
 def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:

@@ -47,7 +47,7 @@ class ParseError(FinringError):
     """Bad polynomial or file syntax; carries the offending position."""
 
     def __init__(self, message: str, position: int):
-        self.position = position
+        self.message, self.position = message, position
         super().__init__(f"{message} (at position {position})")
 
 

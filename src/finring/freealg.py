@@ -479,7 +479,7 @@ def parse_suite(text: str) -> list[tuple[str, NcPoly]]:
         try:
             out.append((line, parse(line)))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position) from None
+            raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
     return out
 
 

@@ -8,6 +8,7 @@ with and without unity, commutative or not, on the same footing.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -97,25 +98,32 @@ def _check_axioms(n: int, add: Table, mul: Table) -> None:
             del mask
 
 
-# Orders with more bits than this are named as base^exp without computing them.
+# Orders with more bits than this are named without computing them.
 _MAX_ORDER_BITS = 1 << 16
+
+
+def _order_name(base: int, exp: int, n: int | None) -> str:
+    """The order n = base^exp in decimal, else as base^exp, else by its bit
+    length; n is None if it has too many bits to compute.  str() refuses an
+    int of more than sys.get_int_max_str_digits() digits."""
+    if n is not None:
+        with contextlib.suppress(ValueError):
+            return str(n)
+    with contextlib.suppress(ValueError):
+        return f"{base}^{exp}"
+    if n is not None:
+        return f"of {n.bit_length()} bits"
+    return f"of over {exp * (base.bit_length() - 1)} bits"
 
 
 def _check_order(base: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
     """The order base^exp, or OrderCapExceeded if it is over the cap.
 
-    Families call this before building a table.  An order too long to print
-    in decimal is named as base^exp.
+    Families call this before building a table.
     """
-    if base > 1 and exp * base.bit_length() > _MAX_ORDER_BITS:
-        raise OrderCapExceeded(f"order {base}^{exp} exceeds the cap of {order_cap}")
-    n = base ** exp
-    if n > order_cap:
-        try:
-            name = str(n)
-        except ValueError:
-            name = f"{base}^{exp}"
-        raise OrderCapExceeded(f"order {name} exceeds the cap of {order_cap}")
+    n = None if base > 1 and exp * base.bit_length() > _MAX_ORDER_BITS else base ** exp
+    if n is None or n > order_cap:
+        raise OrderCapExceeded(f"order {_order_name(base, exp, n)} exceeds the cap of {order_cap}")
     return n
 
 
@@ -330,11 +338,12 @@ def _pair_ring(p: int, products: tuple[int, int, int, int], label: str,
     """Ring on pairs (a, b) over GF(p), element a*p + b, added componentwise.
 
     `products` lists e*e, e*f, f*e and f*f for e = (1, 0) = p and
-    f = (0, 1) = 1, and `name` maps a pair to its element name.
+    f = (0, 1) = 1, `label` is formatted with p once p is known to be a prime
+    of printable order, and `name` maps a pair to its element name.
     """
     _require_prime(p, 2)
     names = tuple(name(i // p, i % p) for i in range(_check_order(p, 2)))
-    return from_products((p, p), products, label, names)
+    return from_products((p, p), products, label.format(p=p), names)
 
 
 def npp(p: int) -> FiniteRing:
@@ -343,7 +352,7 @@ def npp(p: int) -> FiniteRing:
     An element is a pair (a, b): superdiagonal a (twice) and corner b, so
     (a, b)(c, d) = (0, a*c); characteristic p, cube zero.
     """
-    return _pair_ring(p, (1, 0, 0, 0), f"N{p},{p}")
+    return _pair_ring(p, (1, 0, 0, 0), "N{p},{p}")
 
 
 def ap(p: int) -> FiniteRing:
@@ -351,7 +360,7 @@ def ap(p: int) -> FiniteRing:
 
     (x, y)(u, v) = (x*u, x*v); the element (1, 0) is a left identity.
     """
-    return _pair_ring(p, (p, 1, 0, 0), f"A{p}")
+    return _pair_ring(p, (p, 1, 0, 0), "A{p}")
 
 
 def ap0(p: int) -> FiniteRing:
@@ -359,7 +368,7 @@ def ap0(p: int) -> FiniteRing:
 
     (x, y)(u, v) = (x*u, y*u); the element (1, 0) is a right identity.
     """
-    return _pair_ring(p, (p, 0, 1, 0), f"A{p}^0")
+    return _pair_ring(p, (p, 0, 1, 0), "A{p}^0")
 
 
 def zpx_mod_x2(p: int) -> FiniteRing:
@@ -367,31 +376,34 @@ def zpx_mod_x2(p: int) -> FiniteRing:
 
     Element c1*p + c0 is c0 + c1*x, so a pair reads (c1, c0): e = x, f = 1.
     """
-    return _pair_ring(p, (0, p, p, 1), f"Z{p}[x]/(x^2)", lambda c1, c0: _poly_name((c0, c1)))
+    return _pair_ring(p, (0, p, p, 1), "Z{p}[x]/(x^2)", lambda c1, c0: _poly_name((c0, c1)))
 
 
 def direct_sum(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Componentwise ring structure on the product of the two index sets."""
+    import numpy as np
+
     n = r.order * s.order
     if n > order_cap:
         raise OrderCapExceeded(f"combined order {n} exceeds the cap of {order_cap}")
     so = s.order
-    pairs = [(i // so, i % so) for i in range(n)]
-    add = tuple(
-        tuple(r.add[a1][a2] * so + s.add[b1][b2] for (a2, b2) in pairs)
-        for (a1, b1) in pairs
-    )
-    mul = tuple(
-        tuple(r.mul[a1][a2] * so + s.mul[b1][b2] for (a2, b2) in pairs)
-        for (a1, b1) in pairs
-    )
+
+    # Element a * |s| + b is the pair (a, b); axes run a1, b1, a2, b2.
+    def table(rt: Table, st: Table) -> list[list[int]]:
+        cells = np.array(rt)[:, None, :, None] * so + np.array(st)[None, :, None, :]
+        return cells.reshape(n, n).tolist()
+
     label = f"{r.label}+{s.label}" if r.label and s.label else None
-    names = tuple(f"({r.element_name(a)},{s.element_name(b)})" for a, b in pairs)
-    return make_ring(add, mul, label=label, element_names=names, order_cap=order_cap)
+    names = tuple(f"({r.element_name(a)},{s.element_name(b)})"
+                  for a in range(r.order) for b in range(so))
+    return make_ring(table(r.add, s.add), table(r.mul, s.mul), label=label, element_names=names,
+                     order_cap=order_cap)
 
 
 def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Ring of k x k matrices over r, with entries packed base |r| row-major."""
+    import numpy as np
+
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
     n = _check_order(r.order, k * k, order_cap=order_cap)
@@ -399,40 +411,18 @@ def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) ->
     if n == 1:
         # Over the zero ring every matrix is zero, whatever k is.
         return make_ring(((0,),), ((0,),), label=label, order_cap=order_cap)
-    ro = r.order
-    cells = k * k
-
-    def entries(i: int) -> list[int]:
-        out = []
-        for _ in range(cells):
-            out.append(i % ro)
-            i //= ro
-        return out
-
-    def index(es: Sequence[int]) -> int:
-        idx = 0
-        for e in reversed(es):
-            idx = idx * ro + e
-        return idx
-
-    mats = [entries(i) for i in range(n)]
-    add = tuple(
-        tuple(index([r.add[x][y] for x, y in zip(a, b)]) for b in mats) for a in mats
-    )
-    mul_rows = []
-    for a in mats:
-        row = []
-        for b in mats:
-            prod = []
-            for i in range(k):
-                for j in range(k):
-                    acc = 0
-                    for l in range(k):
-                        acc = r.add[acc][r.mul[a[i * k + l]][b[l * k + j]]]
-                    prod.append(acc)
-            row.append(index(prod))
-        mul_rows.append(tuple(row))
-    return make_ring(add, tuple(mul_rows), label=label, order_cap=order_cap)
+    # Entry (i, j) of matrix x is base-|r| digit i * k + j of x, least
+    # significant first.
+    weights = r.order ** np.arange(k * k)
+    entries = np.arange(n)[:, None] // weights % r.order
+    add, mul = np.array(r.add), np.array(r.mul)
+    left, right = entries.reshape(n, 1, k, k), entries.reshape(1, n, k, k)
+    prod = np.zeros((n, n, k, k), dtype=add.dtype)
+    for l in range(k):
+        prod = add[prod, mul[left[..., l, None], right[..., None, l, :]]]
+    sums = add[entries[:, None, :], entries[None, :, :]]
+    return make_ring((sums @ weights).tolist(), (prod.reshape(n, n, k * k) @ weights).tolist(),
+                     label=label, order_cap=order_cap)
 
 
 def ideal_members(ring: FiniteRing, ideal: object) -> tuple[int, ...]:
@@ -478,13 +468,18 @@ def quotient(ring: FiniteRing, ideal: object) -> FiniteRing:
             coset_rep[y] = rep
     reps = sorted(set(coset_rep))
     index_of = {rep: i for i, rep in enumerate(reps)}
-    add = tuple(
-        tuple(index_of[coset_rep[ring.add[a][b]]] for b in reps) for a in reps
-    )
-    mul = tuple(
-        tuple(index_of[coset_rep[ring.mul[a][b]]] for b in reps) for a in reps
-    )
     names = tuple(f"[{ring.element_name(rep)}]" for rep in reps)
+    return _induced(ring, reps, [index_of[rep] for rep in coset_rep], names)
+
+
+def _induced(ring: FiniteRing, elements: Sequence[int], image: Sequence[int],
+             names: Sequence[str]) -> FiniteRing:
+    """The ring whose tables are those of `ring` on `elements`, with each
+    result x renamed image[x]."""
+    import numpy as np
+
+    cells = np.ix_(elements, elements)
+    add, mul = (np.asarray(image)[np.array(t)[cells]].tolist() for t in (ring.add, ring.mul))
     return make_ring(add, mul, element_names=names)
 
 
@@ -510,11 +505,10 @@ def subring_generated(ring: FiniteRing, gens: Iterable[int]) -> GeneratedSubring
             break
         members |= new
     emb = tuple(sorted(members))
-    index_of = {x: i for i, x in enumerate(emb)}
-    add = tuple(tuple(index_of[ring.add[a][b]] for b in emb) for a in emb)
-    mul = tuple(tuple(index_of[ring.mul[a][b]] for b in emb) for a in emb)
-    names = tuple(ring.element_name(x) for x in emb)
-    sub = make_ring(add, mul, element_names=names)
+    image = [0] * ring.order
+    for i, x in enumerate(emb):
+        image[x] = i
+    sub = _induced(ring, emb, image, tuple(ring.element_name(x) for x in emb))
     return GeneratedSubring(sub, emb)
 
 

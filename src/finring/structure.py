@@ -243,13 +243,6 @@ def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
     return len(units(ring) | set(jacobson_radical(ring, cap=cap).members)) == ring.order
 
 
-def _restrict(ring: FiniteRing, members: tuple[int, ...]) -> FiniteRing:
-    index_of = {x: i for i, x in enumerate(members)}
-    add = tuple(tuple(index_of[ring.add[a][b]] for b in members) for a in members)
-    mul = tuple(tuple(index_of[ring.mul[a][b]] for b in members) for a in members)
-    return rings.make_ring(add, mul)
-
-
 def _find_split(
     ring: FiniteRing, lattice: list[frozenset[int]], comp: frozenset[int]
 ) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -286,7 +279,9 @@ def decompose(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Id
                 break
     def sort_key(s: frozenset[int]):
         members = tuple(sorted(s))
-        return (len(s), ring_canonical_certificate(_restrict(ring, members)), members)
+        # An ideal is closed, so the subring it generates is the ideal itself.
+        sub = rings.subring_generated(ring, members).ring
+        return (len(s), ring_canonical_certificate(sub), members)
     components.sort(key=sort_key)
     return [Ideal(ring, tuple(sorted(s))) for s in components]
 

@@ -130,7 +130,7 @@ def test_decompose_orders_equal_sizes_by_old_certificate():
         rings.direct_sum(power(rings.zn(2), 2), rings.n0(2, 1)),
     ):
         def old_key(members):
-            sub = structure._restrict(ring, members)
+            sub = rings.subring_generated(ring, members).ring
             return (len(members), brute_force_certificate(sub), members)
 
         got = [c.members for c in structure.decompose(ring)]

@@ -283,6 +283,15 @@ def test_identity_check_refuses_deep_nesting(tmp_path, capsys):
     assert err.startswith(f"error: line 2: brackets nest deeper than {limit} (at position {limit})")
 
 
+def test_identity_check_suite_parse_error_names_its_position_once(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    suite = tmp_path / "bad.suite"
+    suite.write_text("x\nx +\n")
+    assert run_cli(["identity", "check", z2, str(suite)], capsys) == (
+        2, "", "error: line 2: unexpected end of input (at position 3)\n")
+
+
 def test_identity_check_long_words(tmp_path, capsys):
     z2 = str(tmp_path / "z2.ring")
     run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)

@@ -7,7 +7,9 @@ run against the session atlas directory; the `ring info` hashes cover the
 report of family rings, and the corrupted tables pin the exact axiom and
 witness that validation prints.  The family hashes cover the tables, label
 and element names of every family builder over a parameter grid, and the
-refusals pin what `ring build` prints for bad parameters.
+refusals pin what `ring build` prints for bad parameters.  The derived hashes
+cover direct sums, matrix rings, quotients and generated subrings built from
+atlas and family rings, and the standard groups of small types.
 """
 
 import functools
@@ -16,7 +18,8 @@ import os
 
 import pytest
 
-from finring import cli, rings, scenarios
+from finring import addgroup, atlas, cli, rings, scenarios, structure
+from finring.errors import OrderCapExceeded
 
 ATLAS_SHA256 = {
     1: "cb929b800d4f7530f13d4aefec2722b41c77cc00bdbfdc333b645ea4dc401dad",
@@ -170,3 +173,75 @@ def test_family_build_refusals(capsys, argv):
     captured = capsys.readouterr()
     expected_code, expected_err = FAMILY_BUILD_ERRORS[argv]
     assert (code, captured.out, captured.err) == (expected_code, "", expected_err)
+
+
+# Rings derived from the atlas of orders 1..9 and from small families: one
+# sha256 per builder over the reprs of (label, add, mul, element_names), with
+# the embedding of each generated subring and the message of each matrix ring
+# over the cap.  Validation is skipped here: every table is built from rings,
+# so the bytes cannot depend on it, and it is most of the cost at order 64.
+def _ring_bytes(ring, *extra):
+    return repr((ring.label, ring.add, ring.mul, ring.element_names, *extra))
+
+
+def _direct_sums(atlas_rings):
+    for i, r in enumerate(atlas_rings):
+        for s in atlas_rings[i:]:
+            if r.order * s.order <= 64:
+                yield _ring_bytes(rings.direct_sum(r, s))
+
+
+def _matrix_rings(atlas_rings):
+    bases = [rings.zn(n) for n in range(1, 5)] + [rings.gf(2, 2), rings.npp(2)]
+    for base in bases:
+        for k in range(1, 5):
+            try:
+                yield _ring_bytes(rings.matrix_ring(base, k))
+            except OrderCapExceeded as exc:
+                yield str(exc)
+
+
+def _quotients(atlas_rings):
+    for ring in atlas_rings:
+        for ideal in structure.ideals(ring):
+            yield _ring_bytes(rings.quotient(ring, ideal))
+
+
+def _subrings(atlas_rings):
+    for ring in atlas_rings:
+        for x in range(ring.order):
+            yield _ring_bytes(*rings.subring_generated(ring, {x}))
+
+
+DERIVED_SHA256 = {
+    _direct_sums:
+        "357e2f03129092532488ed0f29e645b718383c8ef519961e718e53dca6cbc284",
+    _matrix_rings:
+        "adba3f8e260fe5a419fb81fee1997948f6c214e8439e52386438870c732cc830",
+    _quotients:
+        "cd364c47501b754e5306cdf31b36d81cb8409ea0dd0b86ec746c369d31add317",
+    _subrings:
+        "ce37df98af9e01ef083622fb2706da8680e06dc814296ae24d6ca617463702a0",
+}
+
+
+@pytest.mark.parametrize("build", list(DERIVED_SHA256), ids=lambda f: f.__name__[1:])
+def test_derived_ring_bytes(monkeypatch, atlas_by_order, build):
+    monkeypatch.setattr(rings, "_check_axioms", lambda n, add, mul: None)
+    atlas_rings = [entry.ring for n in sorted(atlas_by_order) for entry in atlas_by_order[n]]
+    h = hashlib.sha256()
+    for item in build(atlas_rings):
+        h.update(item.encode())
+    assert h.hexdigest() == DERIVED_SHA256[build]
+
+
+STD_GROUP_TYPES = [typ for n in range(1, 17) for typ in atlas.abelian_group_types(n, cap=16)]
+STD_GROUP_TYPES += [(2,) * 8, (4, 4, 4, 4), (16, 16), (3,) * 5]
+STD_GROUP_SHA256 = "fa4d947fd04a7a71755ed8f5cbafed4c155f045af4202336264fbad1e36343e4"
+
+
+def test_std_group_bytes():
+    h = hashlib.sha256()
+    for typ in STD_GROUP_TYPES:
+        h.update(repr(addgroup.std_group(typ)).encode())
+    assert h.hexdigest() == STD_GROUP_SHA256

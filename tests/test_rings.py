@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import pytest
@@ -420,6 +421,31 @@ def test_large_prime_is_refused_by_the_cap_at_once():
     with pytest.raises(OrderCapExceeded, match=r"^order 100000000000740000000001369 exceeds"):
         rings.npp(10000000000037)
     assert time.perf_counter() - start < 0.01
+
+
+def test_unprintable_orders_are_cap_errors():
+    # str() refuses ints of more than 4300 digits, so such an order is named
+    # by its bit length.  From psi_12 up a family checks the cap before it
+    # tests primality, so p need not be prime.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        p = 10**4999 + 7
+        cases = [
+            (lambda: rings.zn(10**5000), "of 16610 bits"),
+            (lambda: rings.zn(2**70000 + 1), "of over 70000 bits"),
+            (lambda: rings.n0(p), f"of {p.bit_length()} bits"),
+            (lambda: rings.gf(p), f"of {p.bit_length()} bits"),
+            (lambda: rings.gf(p, 5), f"of over {5 * (p.bit_length() - 1)} bits"),
+        ]
+        cases += [(lambda f=f: f(p), f"of {(p * p).bit_length()} bits")
+                  for f in (rings.np2, rings.npp, rings.ap, rings.ap0, rings.zpx_mod_x2)]
+        for build, name in cases:
+            with pytest.raises(OrderCapExceeded) as info:
+                build()
+            assert str(info.value) == f"order {name} exceeds the cap of 256"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_matrix_ring_over_zero_ring():

@@ -1,5 +1,8 @@
+import ast
 import functools
+import importlib
 import os
+import pathlib
 import shutil
 
 import pytest
@@ -136,3 +139,19 @@ def test_cache_round_trip(tmp_path):
     fresh = scenarios.AtlasCache(str(tmp_path))
     second = fresh.get(4)
     assert [e.certificate for e in first] == [e.certificate for e in second]
+
+
+def test_tracer_layer_names_resolve():
+    # The benchmark tracer wraps each `module.attr` it lists in LAYERS and
+    # cannot install if one of them is gone.
+    source = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assigned = {ast.unparse(n.targets[0]): n.value for n in tree.body if isinstance(n, ast.Assign)}
+    layers = ast.literal_eval(assigned["LAYERS"])
+    assert "rings" in layers and "make_ring" in layers["rings"]
+    for module_name, attrs in layers.items():
+        module = importlib.import_module(f"finring.{module_name}")
+        for attr in attrs:
+            owner, _, leaf = attr.rpartition(".")
+            target = getattr(module, owner) if owner else module
+            assert callable(vars(target).get(leaf)), f"{module_name}.{attr}"
