@@ -45,6 +45,35 @@ def additive_orders(add: Sequence[Sequence[int]]) -> list[int]:
     return orders
 
 
+def generators(add: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set of the group, chosen greedily in ascending index order.
+
+    x is kept when it lies outside the span of the elements kept before it,
+    and the span is then closed under +x.  So the result is ascending, each
+    generator lies outside the span of the ones before it, and every element
+    is a sum of the generators at or below it.  The trivial group has none.
+    """
+    inside = [False] * len(add)
+    inside[0] = True
+    span = [0]
+    gens = []
+    for x in range(len(add)):
+        if inside[x]:
+            continue
+        gens.append(x)
+        # The span H is a subgroup, so H + mx is H itself or disjoint from it;
+        # its first element is mx, since span[0] is zero.
+        coset = span
+        while True:
+            coset = [add[s][x] for s in coset]
+            if inside[coset[0]]:
+                break
+            for s in coset:
+                inside[s] = True
+            span = span + coset
+    return gens
+
+
 def _scalar(add: Sequence[Sequence[int]], c: int, x: int) -> int:
     acc = 0
     for _ in range(c):

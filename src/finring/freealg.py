@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
+from .addgroup import generators
 from .errors import BudgetExceeded, ParseError, UnboundVariable, ZeroPolynomial
 from .rings import FiniteRing
 
@@ -415,7 +416,7 @@ def evaluate(p: NcPoly, ring: FiniteRing, assignment: Mapping[int, int]) -> int:
             for v in word[1:]:
                 value = ring.mul[value][assignment[v]]
         except KeyError as exc:
-            raise UnboundVariable(f"variable x{exc.args[0]} has no value") from None
+            raise UnboundVariable(f"variable {_var_name(exc.args[0])} has no value") from None
         total = ring.add[total][_scalar_action(ring, coeff, value)]
     return total
 
@@ -429,6 +430,14 @@ class IdentityCheck:
         return self.ok
 
 
+def _linear_variables(p: NcPoly) -> set[int]:
+    """Variables that occur exactly once in every word of p."""
+    words = list(p._terms)
+    if not words:
+        return set()
+    return {v for v in words[0] if all(word.count(v) == 1 for word in words)}
+
+
 def satisfies_identity(
     ring: FiniteRing,
     p: NcPoly,
@@ -437,11 +446,14 @@ def satisfies_identity(
     sample: int | None = None,
     seed: int = 0,
 ) -> IdentityCheck:
-    """Exhaustively test whether p vanishes under every assignment.
+    """Test whether p vanishes under every assignment.
 
-    Assignments run in lexicographic order, so a failure reports the least
-    counterexample.  When the full scan would exceed `budget`, the call
-    raises BudgetExceeded unless `sample` asks for that many seeded random
+    p is additive in each variable that occurs exactly once in every word, so
+    it vanishes on the whole ring iff it does with those variables ranging
+    over the generators of (R, +) and the others over all of R.  A failure
+    reports the least counterexample in lexicographic order.  When n^k
+    assignments (k variables) would exceed `budget`, the call raises
+    BudgetExceeded unless `sample` asks for that many seeded random
     assignments instead (in which case a reported counterexample is real but
     not necessarily least).
     """
@@ -458,7 +470,16 @@ def satisfies_identity(
             if evaluate(p, ring, assignment) != 0:
                 return IdentityCheck(False, assignment)
         return IdentityCheck(True)
-    for combo in itertools.product(range(ring.order), repeat=len(vars_)):
+    # The scan runs in lexicographic order with the generators ascending, and
+    # its first failure is the least counterexample.  Fix the variables before
+    # a linear one at their values there, and say it has value g: every a < g
+    # is a sum of generators below g, at each of which the scan found p
+    # vanishing for every value of the later variables (by the same
+    # reduction), so p vanishes at a too.
+    gens = generators(ring.add)
+    linear = _linear_variables(p)
+    ranges = [gens if v in linear else range(ring.order) for v in vars_]
+    for combo in itertools.product(*ranges):
         assignment = dict(zip(vars_, combo))
         if evaluate(p, ring, assignment) != 0:
             return IdentityCheck(False, assignment)

@@ -314,3 +314,12 @@ def test_balanced_product_equals_left_fold(factors):
     for factor in factors[1:]:
         left_fold = left_fold * factor
     assert fa.parse(text) == left_fold
+
+
+def test_unbound_variables_are_named_alike():
+    ring = rings.zn(4)
+    for text, name in (("xy", "y"), ("x x5", "x5"), ("z^2", "z")):
+        with pytest.raises(UnboundVariable, match=rf"^variable {name} has no value$"):
+            fa.evaluate(fa.parse(text), ring, {1: 0})
+        with pytest.raises(UnboundVariable, match=rf"^variable {name} has no binding$"):
+            fa.substitute(fa.parse(text), {1: fa.variable(1)})

@@ -9,11 +9,13 @@ witness that validation prints.  The family hashes cover the tables, label
 and element names of every family builder over a parameter grid, and the
 refusals pin what `ring build` prints for bad parameters.  The derived hashes
 cover direct sums, matrix rings, quotients and generated subrings built from
-atlas and family rings, and the standard groups of small types.
+atlas and family rings, and the standard groups of small types.  The identity
+hashes cover the exit code and stdout of `identity check`.
 """
 
 import functools
 import hashlib
+import itertools
 import os
 
 import pytest
@@ -245,3 +247,117 @@ def test_std_group_bytes():
     for typ in STD_GROUP_TYPES:
         h.update(repr(addgroup.std_group(typ)).encode())
     assert h.hexdigest() == STD_GROUP_SHA256
+
+
+# `identity check` output: one sha256 over the exit code and stdout of every
+# call.  The sweep runs each atlas ring of orders 1..9 against a fixed list of
+# polynomials; the named cases add the standard polynomials on M2(Z2) and
+# GF(4), and relabeled rings whose least counterexample lies late in
+# lexicographic order.
+def standard_text(k):
+    """The standard polynomial s_k as text."""
+    parts = []
+    for perm in itertools.permutations(range(1, k + 1)):
+        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+        word = "".join(f"x{v}" for v in perm)
+        parts.append(word if not parts else ("- " if inversions % 2 else "+ ") + word)
+    return " ".join(parts)
+
+
+def _late_first(ring, early):
+    """A copy of `ring` whose elements with early(x) come first, zero kept at
+    0 and ties in index order, so counterexamples move late."""
+    n = ring.order
+    perm = [0] * n
+    order = sorted(range(1, n), key=lambda x: not early(x))
+    for new, old in enumerate(order, start=1):
+        perm[old] = new
+    inv = [0] + order
+    add = [[perm[ring.add[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    mul = [[perm[ring.mul[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    return rings.make_ring(add, mul)
+
+
+def _idempotents_first(ring):
+    return _late_first(ring, lambda x: ring.mul[x][x] == x)
+
+
+def _central_first(ring):
+    return _late_first(ring, lambda x: all(ring.mul[x][y] == ring.mul[y][x] for y in range(ring.order)))
+
+
+def _z2_5_z4():
+    return functools.reduce(rings.direct_sum, [rings.zn(2)] * 5 + [rings.zn(4)])
+
+
+def _z4_part_last(ring):
+    # In a direct sum ending in Z4, element x has Z4 component x % 4.
+    return _late_first(ring, lambda x: x % 4 == 0)
+
+
+def _m2z2():
+    return rings.matrix_ring(rings.zn(2), 2)
+
+
+IDENTITY_SWEEP_POLYS = ["xy - yx", "xyz", "x^2 - x", "4x", "[x,y]z", "-xy + x^2y", "xy + x", "0"]
+IDENTITY_SWEEP_SHA256 = "7018fcd579cee72bc264e86ad8260087e0114792c29728fabc352bde408f9314"
+IDENTITY_CASES_SHA256 = {
+    "s3 M2(Z2)": (
+        _m2z2, standard_text(3),
+        "23f8d424a59cc0c38846b2dbe1f0f091f49f01f46737f68c3b3298ce9faee52e"),
+    "s4 M2(Z2)": (
+        _m2z2, standard_text(4),
+        "e0b2541ebaa4caf355cb548eba737f9caaa67906bb4ce4cef41f55628b525eec"),
+    "s3 GF(4)": (
+        lambda: rings.gf(2, 2), standard_text(3),
+        "215b252fde10ccd5ce825d5111e91cfa2acf55d4f2a20e9192ba559a8092a673"),
+    "s4 GF(4)": (
+        lambda: rings.gf(2, 2), standard_text(4),
+        "e0b2541ebaa4caf355cb548eba737f9caaa67906bb4ce4cef41f55628b525eec"),
+    "x^2-x Z2^5+Z4": (
+        lambda: _idempotents_first(_z2_5_z4()), "x^2 - x",
+        "25c837a184e56d38a86b7cc10fdf54a922cdb1973814da404352c05c6014adc3"),
+    "(x^2-x)y Z2^5+Z4": (
+        lambda: _z4_part_last(_z2_5_z4()), "(x^2 - x)y",
+        "d0c9204c1bcd217ea279e791b50d965222b6a196fdecfeb36a7a2375107ef29a"),
+    "x(y^2-y) Z2^5+Z4": (
+        lambda: _z4_part_last(_z2_5_z4()), "x(y^2 - y)",
+        "efb536cef7b0b1fca2632a696a6c880e6665a7aba4fa74707f7298e8119bc479"),
+    "x(y^2-y)z Z2^5+Z4": (
+        lambda: _z4_part_last(_z2_5_z4()), "x(y^2 - y)z",
+        "caf8b5afc427bc997ead222f7f0f1506c2c0c028575c345920bbcc498e20cb9e"),
+    "xy-yx M2(Z2)+GF(4)": (
+        lambda: _central_first(rings.direct_sum(_m2z2(), rings.gf(2, 2))), "xy - yx",
+        "059f8e2c3c9bd3aa3ec83f877f635f14cef023648d8e1b707a8806df10bead20"),
+    "[x,y]z M2(Z2)": (
+        lambda: _central_first(_m2z2()), "[x,y]z",
+        "adcc82fbb9e8ed4a8d53f9af04e5632775df9c2367f8184be0515e03b7c0002c"),
+    "s3 M2(Z2) central first": (
+        lambda: _central_first(_m2z2()), standard_text(3),
+        "ba4e60d0f5b626f1c9d79bf804364fe90c2f85ef3573e102745f0fa3f4e96da5"),
+}
+
+
+def _identity_output(capsys, path, text):
+    code = cli.main(["identity", "check", str(path), text])
+    out = capsys.readouterr().out
+    return f"{code}\n{out}".encode()
+
+
+def test_identity_check_sweep_bytes(tmp_path, capsys, atlas_by_order):
+    path = tmp_path / "ring.txt"
+    h = hashlib.sha256()
+    for n in sorted(atlas_by_order):
+        for entry in atlas_by_order[n]:
+            rings.write_ringtab(entry.ring, path)
+            for text in IDENTITY_SWEEP_POLYS:
+                h.update(_identity_output(capsys, path, text))
+    assert h.hexdigest() == IDENTITY_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CASES_SHA256))
+def test_identity_check_case_bytes(tmp_path, capsys, name):
+    build, text, digest = IDENTITY_CASES_SHA256[name]
+    path = tmp_path / "ring.txt"
+    rings.write_ringtab(build(), path)
+    assert _sha256(_identity_output(capsys, path, text)) == digest

@@ -155,3 +155,24 @@ def test_tracer_layer_names_resolve():
             owner, _, leaf = attr.rpartition(".")
             target = getattr(module, owner) if owner else module
             assert callable(vars(target).get(leaf)), f"{module_name}.{attr}"
+
+
+def test_tracer_counts_identity_checks(tmp_path, monkeypatch):
+    # The benchmark tracer wraps satisfies_identity and derives the
+    # assignment count from its arguments and result; uninstalling it puts
+    # the original function back.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]))
+    from finring import cli
+    from perfbench.tracing import Tracer
+
+    path = tmp_path / "z4.txt"
+    rings.write_ringtab(rings.zn(4), path)
+    original = freealg.satisfies_identity
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["identity", "check", str(path), "xy - yx"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.op_counts([tracer.op])["freealg.assignments"] == 16
+    assert freealg.satisfies_identity is original
