@@ -52,6 +52,13 @@ def generators(add: Sequence[Sequence[int]]) -> list[int]:
     and the span is then closed under +x.  So the result is ascending, each
     generator lies outside the span of the ones before it, and every element
     is a sum of the generators at or below it.  The trivial group has none.
+
+    Only table entries are read, and every step of the inner loop but the
+    last for each x marks a new element, so this stops after O(n^2) lookups
+    on any n x n table, group or not.  Every element it marks is a sum,
+    bracketed as the lookups ran, of the generators kept up to that point;
+    `rings._check_axioms` relies on this before it knows that + is
+    associative.
     """
     inside = [False] * len(add)
     inside[0] = True
@@ -62,15 +69,17 @@ def generators(add: Sequence[Sequence[int]]) -> list[int]:
             continue
         gens.append(x)
         # The span H is a subgroup, so H + mx is H itself or disjoint from it;
-        # its first element is mx, since span[0] is zero.
+        # its first element is mx, since span[0] is zero.  Outside a group a
+        # coset can meet H or repeat itself, and only new elements join H.
         coset = span
         while True:
             coset = [add[s][x] for s in coset]
             if inside[coset[0]]:
                 break
             for s in coset:
-                inside[s] = True
-            span = span + coset
+                if not inside[s]:
+                    inside[s] = True
+                    span.append(s)
     return gens
 
 

@@ -9,6 +9,7 @@ with and without unity, commutative or not, on the same footing.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -38,19 +39,80 @@ class FiniteRing:
         return f"FiniteRing(order={self.order}, label={self.label!r})"
 
 
-def _as_table(raw: Sequence[Sequence[int]], n: int, which: str) -> Table:
+def _as_table(raw: Sequence[Sequence[int]], n: int, which: str):
+    """The rows as a tuple table and as an n x n array, or AxiomViolation
+    for the first row of the wrong length or entry outside [0, n)."""
+    import numpy as np
+
     if len(raw) != n:
         raise AxiomViolation("table-shape", (len(raw), n), f"{which} table must be {n}x{n}")
-    rows = []
-    for i, row in enumerate(raw):
+    dtype = np.min_scalar_type(n - 1)
+    try:
+        rows = tuple(map(tuple, raw))
+    except TypeError:
+        # A row that is not iterable: the loop below names a bad entry in the
+        # rows before it, and then raises the same TypeError.
+        rows = raw
+    # Only int entries go to numpy, since it would take a bool or a float;
+    # a ragged row or an entry out of range sends the rows to the loop
+    # below, which names the first failure.
+    if rows is not raw and set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        try:
+            array = np.array(rows, dtype=dtype)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if array.shape == (n, n) and array.max() < n:
+                return rows, array
+    for i, row in enumerate(rows):
         row = tuple(row)
         if len(row) != n:
             raise AxiomViolation("table-shape", (i, len(row)), f"{which} row {i} has wrong length")
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise AxiomViolation("entry-range", (i, j), f"{which}[{i}][{j}] = {v!r} not in [0, {n})")
-        rows.append(row)
-    return tuple(rows)
+    return rows, np.array(rows, dtype=dtype)
+
+
+def _check_axioms(add: Table, a, m) -> None:
+    """AxiomViolation for the first ring axiom that the tables fail; `a` and
+    `m` are the tables as arrays, and `add` is also given as rows.
+
+    The cubic laws are checked only against S = addgroup.generators(add).
+    `generators` follows table lookups from 0, so every element is one it
+    kept or a sum of those, bracketed as the lookups ran: S generates (G, +)
+    as a magma before + is known to be associative.  Each law below that
+    holds for every g in S holds for all of G, since the g it holds for are
+    closed under +:
+    - (x+g)+z = x+(g+z) for all x, z makes + associative (Light's test).
+      With 0 an identity and + commutative, x + y = 0 then has at most one
+      solution y for each x, so n zeros in the table put one in every row,
+      and (G, +) is an abelian group.
+    - x(y+g) = xy+xg and (y+g)x = yx+gx for all x, y make the product
+      bi-additive.
+    - (gg')x = g(g'x) for all x, with g, g' in S, then gives associativity,
+      since (uv)x - u(vx) is additive in u and in v.
+    A group of order n has at most log2(n) greedy generators, so more mean
+    the table is no group.  Tables that fail here go to `_scan_axioms`,
+    which names the first violation.
+    """
+    import numpy as np
+
+    n = len(add)
+    s = np.array(addgroup.generators(add), dtype=np.intp)
+    if s.size < n.bit_length() and np.count_nonzero(a == 0) == n:
+        ag, ms = a.take(s, axis=1), m.take(s, axis=0)
+        mn, flat = m.astype(np.intp) * n, a.ravel()
+        # Side by side: 0+x = x, x+y = y+x, (x+g)+z = x+(g+z),
+        # x(y+g) = xy+xg, (y+g)x = yx+gx and (gg')x = g(g'x).
+        left = (a[0], a, a.take(ag, axis=0), m.take(ag, axis=1), m.take(ag, axis=0),
+                m.take(ms.take(s, axis=1), axis=0))
+        right = (np.arange(n, dtype=a.dtype), a.T, a.take(a.take(s, axis=0), axis=1),
+                 flat.take(mn[:, :, None] + m.take(s, axis=1)[:, None, :]),
+                 flat.take(mn[:, None, :] + ms), ms.take(ms, axis=1))
+        if np.array_equal(np.concatenate(left, axis=None), np.concatenate(right, axis=None)):
+            return
+    _scan_axioms(a, m)
 
 
 # Below this order the tables fit one chunk, and a violation is reported at
@@ -60,11 +122,12 @@ _LEAST_TRIPLE_BELOW = 32
 _CUBIC_LAWS = ("add-associative", "mul-associative", "left-distributive", "right-distributive")
 
 
-def _check_axioms(n: int, add: Table, mul: Table) -> None:
+def _scan_axioms(a, m) -> None:
+    """AxiomViolation for the first failure on all elements: the zero, then
+    commutativity and inverses by row, then the cubic laws on all triples."""
     import numpy as np
 
-    a = np.array(add, dtype=np.min_scalar_type(n - 1))
-    m = np.array(mul, dtype=a.dtype)
+    n = len(a)
     bad = np.flatnonzero(a[0] != np.arange(n))
     if bad.size:
         raise AxiomViolation("zero-identity", (int(bad[0]),))
@@ -144,9 +207,9 @@ def make_ring(
     if n == 0:
         raise AxiomViolation("table-shape", (0,), "a ring needs at least the zero element")
     _check_order(n, order_cap=order_cap)
-    add_t = _as_table(add, n, "add")
-    mul_t = _as_table(mul, n, "mul")
-    _check_axioms(n, add_t, mul_t)
+    add_t, a = _as_table(add, n, "add")
+    mul_t, m = _as_table(mul, n, "mul")
+    _check_axioms(add_t, a, m)
     names = None
     if element_names is not None:
         names = tuple(element_names)
@@ -578,7 +641,7 @@ def parse_ringtab(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
         rows = []
         for _ in range(n):
             try:
-                rows.append([int(tok) for tok in take().split()])
+                rows.append(list(map(int, take().split())))
             except ValueError:
                 raise FormatError(f"non-integer entry in {header} table") from None
         return rows

@@ -180,8 +180,7 @@ def test_family_build_refusals(capsys, argv):
 # Rings derived from the atlas of orders 1..9 and from small families: one
 # sha256 per builder over the reprs of (label, add, mul, element_names), with
 # the embedding of each generated subring and the message of each matrix ring
-# over the cap.  Validation is skipped here: every table is built from rings,
-# so the bytes cannot depend on it, and it is most of the cost at order 64.
+# over the cap.  Every ring hashed here is validated as it is built.
 def _ring_bytes(ring, *extra):
     return repr((ring.label, ring.add, ring.mul, ring.element_names, *extra))
 
@@ -228,8 +227,7 @@ DERIVED_SHA256 = {
 
 
 @pytest.mark.parametrize("build", list(DERIVED_SHA256), ids=lambda f: f.__name__[1:])
-def test_derived_ring_bytes(monkeypatch, atlas_by_order, build):
-    monkeypatch.setattr(rings, "_check_axioms", lambda n, add, mul: None)
+def test_derived_ring_bytes(atlas_by_order, build):
     atlas_rings = [entry.ring for n in sorted(atlas_by_order) for entry in atlas_by_order[n]]
     h = hashlib.sha256()
     for item in build(atlas_rings):
