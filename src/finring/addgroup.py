@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -45,42 +45,51 @@ def additive_orders(add: Sequence[Sequence[int]]) -> list[int]:
     return orders
 
 
-def generators(add: Sequence[Sequence[int]]) -> list[int]:
-    """A generating set of the group, chosen greedily in ascending index order.
+def span(add: Sequence[Sequence[int]], seeds: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The subgroup generated by `seeds`, reached greedily in the order given.
 
-    x is kept when it lies outside the span of the elements kept before it,
-    and the span is then closed under +x.  So the result is ascending, each
-    generator lies outside the span of the ones before it, and every element
-    is a sum of the generators at or below it.  The trivial group has none.
+    A seed x is kept when it lies outside the span of the seeds kept before
+    it, and the span is then closed under +x.  Returns the kept seeds, in order,
+    and the members of the span, zero first.  So each kept seed lies outside
+    the span of the ones before it, and every member is a sum of the seeds
+    kept up to the point it joined.
 
-    Only table entries are read, and every step of the inner loop but the
-    last for each x marks a new element, so this stops after O(n^2) lookups
-    on any n x n table, group or not.  Every element it marks is a sum,
-    bracketed as the lookups ran, of the generators kept up to that point;
+    Only table entries are read, and every step of the inner loop marks a
+    new element, so this stops after O(n^2 + len(seeds)) lookups on any
+    n x n table, group or not.  Every element it marks is a sum, bracketed
+    as the lookups ran, of the seeds kept up to that point;
     `rings._check_axioms` relies on this before it knows that + is
     associative.
     """
     inside = [False] * len(add)
     inside[0] = True
-    span = [0]
-    gens = []
-    for x in range(len(add)):
+    members = [0]
+    kept = []
+    for x in seeds:
         if inside[x]:
             continue
-        gens.append(x)
+        kept.append(x)
         # The span H is a subgroup, so H + mx is H itself or disjoint from it;
-        # its first element is mx, since span[0] is zero.  Outside a group a
-        # coset can meet H or repeat itself, and only new elements join H.
-        coset = span
-        while True:
+        # its first element is mx, since members[0] is zero, so mx alone
+        # decides.  Outside a group a coset can meet H or repeat itself, and
+        # only new elements join H.
+        coset = members
+        while not inside[add[coset[0]][x]]:
             coset = [add[s][x] for s in coset]
-            if inside[coset[0]]:
-                break
             for s in coset:
                 if not inside[s]:
                     inside[s] = True
-                    span.append(s)
-    return gens
+                    members.append(s)
+    return kept, members
+
+
+def generators(add: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set of the group, chosen greedily in ascending index order:
+    the seeds `span` keeps from every element.  So every element is a sum of
+    the generators at or below it, and `span`'s guarantees on tables that are
+    not groups hold here too.  The trivial group has none.
+    """
+    return span(add, range(len(add)))[0]
 
 
 def _scalar(add: Sequence[Sequence[int]], c: int, x: int) -> int:

@@ -435,7 +435,7 @@ def _linear_variables(p: NcPoly) -> set[int]:
     words = list(p._terms)
     if not words:
         return set()
-    return {v for v in words[0] if all(word.count(v) == 1 for word in words)}
+    return {v for v in set(words[0]) if all(word.count(v) == 1 for word in words)}
 
 
 def satisfies_identity(

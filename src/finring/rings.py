@@ -552,21 +552,18 @@ class GeneratedSubring(NamedTuple):
 
 
 def subring_generated(ring: FiniteRing, gens: Iterable[int]) -> GeneratedSubring:
-    """Closure of `gens` under +, -, and *, reindexed from 0 with an embedding."""
-    neg = [row.index(0) for row in ring.add]
-    members = {0} | set(gens)
+    """Closure of `gens` under +, -, and *, reindexed from 0 with an embedding.
+
+    The product is bilinear, so an additive span is closed under * once it
+    holds the product of every two of its kept seeds.
+    """
+    kept, members = addgroup.span(ring.add, gens)
     while True:
-        new = set()
-        for a in members:
-            if neg[a] not in members:
-                new.add(neg[a])
-            for b in members:
-                for c in (ring.add[a][b], ring.mul[a][b]):
-                    if c not in members:
-                        new.add(c)
-        if not new:
+        inside = set(members)
+        products = [ring.mul[a][b] for a in kept for b in kept if ring.mul[a][b] not in inside]
+        if not products:
             break
-        members |= new
+        kept, members = addgroup.span(ring.add, kept + products)
     emb = tuple(sorted(members))
     image = [0] * ring.order
     for i, x in enumerate(emb):

@@ -8,7 +8,7 @@ is a pure function of the Cayley tables.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from . import addgroup, rings
@@ -93,45 +93,22 @@ def is_commutative(ring: FiniteRing) -> bool:
     return all(ring.mul[x][y] == ring.mul[y][x] for x in range(n) for y in range(n))
 
 
-def _ideal_closure(ring: FiniteRing, seed: set[int]) -> frozenset[int]:
-    """Smallest two-sided ideal containing `seed`."""
-    neg = [row.index(0) for row in ring.add]
-    members = {0} | set(seed)
-    frontier = list(members)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            if neg[a] not in members:
-                fresh.add(neg[a])
-            for b in members:
-                for c in (ring.add[a][b], ring.add[b][a]):
-                    if c not in members:
-                        fresh.add(c)
-            for r in range(ring.order):
-                for c in (ring.mul[r][a], ring.mul[a][r]):
-                    if c not in members:
-                        fresh.add(c)
-        members |= fresh
-        frontier = list(fresh)
-    return frozenset(members)
+def _principal_ideals(ring: FiniteRing) -> list[tuple[list[int], frozenset[int]]]:
+    """A generating set of (x) as a group, and its members, for each x.
 
-
-def _join(ring: FiniteRing, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    """The sum a + b of two additive subgroups, itself a subgroup.
-
-    The sum is the union of the cosets x + b for x in a, so each coset is
-    added once.
+    With S the additive generators of R, the maps r -> rx, r -> xr and
+    (r, s) -> rxs are additive, so (x) = Zx + Rx + xR + RxR is the additive
+    span of x, gx, xg and gxh for g, h in S.
     """
-    if a <= b:
-        return b
-    if b <= a:
-        return a
-    members: set[int] = set()
-    for x in a:
-        if x not in members:
-            row = ring.add[x]
-            members.update(row[y] for y in b)
-    return frozenset(members)
+    gens = addgroup.generators(ring.add)
+    mul = ring.mul
+    out = []
+    for x in range(ring.order):
+        left = [mul[g][x] for g in gens]
+        seeds = [x, *left, *(mul[x][g] for g in gens), *(mul[gx][h] for gx in left for h in gens)]
+        kept, members = addgroup.span(ring.add, seeds)
+        out.append((kept, frozenset(members)))
+    return out
 
 
 def _check_cap(ring: FiniteRing, cap: int, what: str) -> None:
@@ -140,31 +117,42 @@ def _check_cap(ring: FiniteRing, cap: int, what: str) -> None:
 
 
 def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal]:
-    """All two-sided ideals: join-closure of the principal ideals.
+    """All two-sided ideals, sorted by (size, members).
 
     Every ideal is the join of the principal ideals of its elements, so
-    closing the principal ones under pairwise join (the sum a + b of two
-    ideals; multiplicative closure is inherited) is exhaustive.
+    joining each ideal found with each principal ideal until nothing new
+    appears reaches them all.  A join is the additive span of the two
+    generating sets; multiplicative closure is inherited.
     """
     _check_cap(ring, cap, "ideal enumeration")
-    found = {frozenset({0})}
-    for x in range(1, ring.order):
-        found.add(_ideal_closure(ring, {x}))
-    worklist = list(found)
+    principal = _principal_ideals(ring)
+    found = {members: kept for kept, members in principal}
+    worklist = list(found.items())
     while worklist:
         nxt = []
-        for a in worklist:
-            for b in list(found):
-                join = _join(ring, a, b)
+        for ideal, ideal_gens in worklist:
+            # I + (x) = I + (x + i) for i in I, as each of x and x + i lies in
+            # the other's join with I, so one x per coset of I will do.
+            inside = [False] * ring.order
+            for i in ideal:
+                inside[i] = True
+            for x, (gens, _) in enumerate(principal):
+                if inside[x]:
+                    continue
+                row = ring.add[x]
+                for i in ideal:
+                    inside[row[i]] = True
+                kept, members = addgroup.span(ring.add, ideal_gens + gens)
+                join = frozenset(members)
                 if join not in found:
-                    found.add(join)
-                    nxt.append(join)
+                    found[join] = kept
+                    nxt.append((join, kept))
         worklist = nxt
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return [Ideal(ring, tuple(sorted(s))) for s in ordered]
 
 
-def _ideal_is_nilpotent(ring: FiniteRing, members: Sequence[int]) -> int | None:
+def _ideal_is_nilpotent(ring: FiniteRing, members: Collection[int]) -> int | None:
     """Least k with every k-fold product in the ideal `members` zero, or None.
     Each product set lies inside the one before, so a repeat never reaches {0}."""
     current = set(members)
@@ -181,19 +169,20 @@ def _ideal_is_nilpotent(ring: FiniteRing, members: Sequence[int]) -> int | None:
 def jacobson_radical(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> Ideal:
     """Largest nilpotent two-sided ideal (the radical of a finite ring).
 
-    Computed as the join of all nilpotent ideals, which sidesteps
-    quasi-regularity for rings without identity.
+    It is the sum of all nilpotent ideals, which sidesteps quasi-regularity
+    for rings without identity, so it holds x exactly when (x) is nilpotent.
     """
     _check_cap(ring, cap, "radical computation")
-    return _radical(ring, ideals(ring, cap=cap))
+    return _nilpotent_union(ring, _principal_ideals(ring))
 
 
-def _radical(ring: FiniteRing, lattice: list[Ideal]) -> Ideal:
-    acc: frozenset[int] = frozenset({0})
-    for ideal in lattice:
-        if _ideal_is_nilpotent(ring, ideal.members) is not None:
-            acc = _join(ring, acc, frozenset(ideal.members))
-    return Ideal(ring, tuple(sorted(acc)))
+def _nilpotent_union(ring: FiniteRing, principal: list[tuple[list[int], frozenset[int]]]) -> Ideal:
+    """The union of the nilpotent principal ideals: the radical."""
+    members: set[int] = set()
+    for ideal in {ideal for _, ideal in principal}:
+        if _ideal_is_nilpotent(ring, ideal) is not None:
+            members |= ideal
+    return Ideal(ring, tuple(sorted(members)))
 
 
 def is_nilpotent_ring(ring: FiniteRing) -> int | None:
@@ -208,14 +197,13 @@ def is_subdirectly_irreducible(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURA
     nonzero ideal contains one.
     """
     _check_cap(ring, cap, "subdirect irreducibility")
-    return _meet_is_nonzero(_ideal_closure(ring, {x}) for x in range(1, ring.order))
+    return _meet_is_nonzero(ideal for _, ideal in _principal_ideals(ring))
 
 
 def _meet_is_nonzero(candidates: Iterable[frozenset[int]]) -> bool:
     """True iff the nonzero sets among `candidates` meet in a nonzero set.
 
-    `candidates` must include every nonzero principal ideal, as the
-    principal ideals themselves or a whole ideal lattice do.
+    `candidates` must include every nonzero principal ideal.
     """
     meet: frozenset[int] | None = None
     for members in candidates:
@@ -465,16 +453,17 @@ class StructureReport:
 def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> StructureReport:
     """Compute the full invariant summary for one ring.
 
-    The ideal lattice is built once; the radical, locality, subdirect
-    irreducibility and decomposability are all read off it.
+    The radical, locality and subdirect irreducibility are read off the
+    principal ideals, each spanned on the additive generators; the ideal
+    lattice is built once, for decomposability only.
     """
     identity = has_identity(ring)
-    # Over the cap, name the step that needs the lattice first: the radical
+    # Over the cap, name the step that needs the ideals first: the radical
     # when there is an identity, subdirect irreducibility when there is none.
     _check_cap(ring, cap, "radical computation" if identity is not None else "subdirect irreducibility")
-    lattice = ideals(ring, cap=cap)
-    radical = _radical(ring, lattice)
-    members = [frozenset(i.members) for i in lattice]
+    principal = _principal_ideals(ring)
+    radical = _nilpotent_union(ring, principal)
+    lattice = [frozenset(i.members) for i in ideals(ring, cap=cap)]
     return StructureReport(
         label=ring.label,
         order=ring.order,
@@ -484,8 +473,8 @@ def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> 
         is_field=is_field(ring),
         is_local=identity is not None and len(units(ring) | set(radical.members)) == ring.order,
         is_nilpotent=is_nilpotent_ring(ring),
-        is_subdirectly_irreducible=_meet_is_nonzero(members),
-        is_decomposable=_find_split(ring, members, frozenset(range(ring.order))) is not None,
+        is_subdirectly_irreducible=_meet_is_nonzero(ideal for _, ideal in principal),
+        is_decomposable=_find_split(ring, lattice, frozenset(range(ring.order))) is not None,
         zero_divisor_count=len(zero_divisors(ring)),
         jacobson_radical=radical,
     )

@@ -4,7 +4,8 @@ A change that promises the same answers must leave these hashes alone.  The
 atlas hashes cover the `save_atlas` bytes of orders 1..9 (certificates and
 ringtab blocks); the verify hashes cover the full stdout of each scenario
 run against the session atlas directory; the `ring info` hashes cover the
-report of family rings, and the corrupted tables pin the exact axiom and
+report of family rings, the order-64 hashes cover the structure report and
+decomposition of null rings, and the corrupted tables pin the exact axiom and
 witness that validation prints.  The family hashes cover the tables, label
 and element names of every family builder over a parameter grid, and the
 refusals pin what `ring build` prints for bad parameters.  The derived hashes
@@ -86,6 +87,37 @@ def test_ring_info_stdout_bytes(tmp_path, capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == digest
+
+
+def _null_ring(typ):
+    return rings.from_products(typ, (0,) * len(typ) ** 2)
+
+
+# Order-64 null rings with large ideal lattices: the structure report text,
+# and the `decompose` members, one component a line.
+ORDER_64_STRUCTURE_SHA256 = {
+    "null(2,2,2,2,2,2)": (
+        lambda: _null_ring((2,) * 6),
+        "0e4e9aae54122fc56b5fb414e32acd311d19ffd4152f385e39998d8fc0522784",
+        "30f8e4f6835c261567ba45f6c338ae0cfaffa692c8160fa4cb60b64b104cf285"),
+    "null(4,2,2,2,2)": (
+        lambda: _null_ring((4, 2, 2, 2, 2)),
+        "daffd5ff52cab76ef9eee1c0ec722c203ab084a0a5b39c7caa8ebcbffa17e248",
+        "282c3e2731e454fdd1da89c89cf51a5fdc2cb4838b5acdeb4df558dee72b9751"),
+    "null(2,2,2,2,2)+Z2": (
+        lambda: rings.direct_sum(_null_ring((2,) * 5), rings.zn(2)),
+        "51f1272fc56cedd547b329abc0985219976f37e11b59c05dec90b7aa034d2f60",
+        "03511c9c9a082dd49d2f5d01a11f5847d5cafac04e915b914a1aaadb4c2ed638"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_64_STRUCTURE_SHA256))
+def test_order_64_structure_bytes(name):
+    build, report_digest, parts_digest = ORDER_64_STRUCTURE_SHA256[name]
+    ring = build()
+    assert _sha256(structure.structure_report(ring).to_text().encode("utf-8")) == report_digest
+    parts = "".join(" ".join(map(str, part.members)) + "\n" for part in structure.decompose(ring))
+    assert _sha256(parts.encode("utf-8")) == parts_digest
 
 
 # One table cell changed in a family ring: (table, row, column, new value)

@@ -104,7 +104,7 @@ def span(add, gens):
     return seen
 
 
-def assert_greedy_generating_set(add):
+def assert_greedy_generating_set(add, rng):
     gens = addgroup.generators(add)
     assert gens == sorted(gens)
     assert span(add, gens) == set(range(len(add)))
@@ -115,19 +115,29 @@ def assert_greedy_generating_set(add):
         assert x in span(add, [g for g in gens if g <= x])
     # Each generator at least doubles the span.
     assert 2 ** len(gens) <= len(add)
+    # The span of seed sets, in the order given, with repeats and zeros.
+    seed_sets = [[], [0], list(range(len(add)))]
+    seed_sets += [rng.choices(range(len(add)), k=rng.randint(1, 6)) for _ in range(6)]
+    for seeds in seed_sets:
+        kept, members = addgroup.span(add, seeds)
+        assert members[0] == 0 and len(set(members)) == len(members)
+        assert set(members) == span(add, seeds)
+        assert kept == [x for i, x in enumerate(seeds) if x not in span(add, seeds[:i])]
+    assert addgroup.span(add, range(len(add)))[0] == gens
 
 
 def test_generators_of_standard_groups():
+    rng = random.Random(5)
     for n in range(1, 17):
         for typ in atlas.abelian_group_types(n, cap=16):
-            assert_greedy_generating_set(addgroup.std_group(typ).add)
+            assert_greedy_generating_set(addgroup.std_group(typ).add, rng)
 
 
 def test_generators_of_relabeled_rings(atlas_by_order):
-    rng = random.Random(9)
+    rng, seed_rng = random.Random(9), random.Random(10)
     for n in range(2, 10):
         for entry in atlas_by_order[n]:
-            assert_greedy_generating_set(relabel(entry.ring, rng).add)
+            assert_greedy_generating_set(relabel(entry.ring, rng).add, seed_rng)
 
 
 def test_generator_counts():

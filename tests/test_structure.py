@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from finring import atlas, rings, structure
 from finring.errors import NoIdentity, OrderCapExceeded
+
+from test_certificates import relabel
 
 
 def test_zero_divisor_examples():
@@ -246,6 +250,154 @@ def test_relabeled_copy_is_isomorphic(perm, which):
     assert hom is not None and hom.is_isomorphism
 
 
+# --- the fixpoint closures that the additive spans replaced, as the reference ---
+
+
+def _reference_ideal_closure(ring, seed):
+    """Smallest two-sided ideal containing `seed`."""
+    neg = [row.index(0) for row in ring.add]
+    members = {0} | set(seed)
+    frontier = list(members)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            if neg[a] not in members:
+                fresh.add(neg[a])
+            for b in members:
+                for c in (ring.add[a][b], ring.add[b][a]):
+                    if c not in members:
+                        fresh.add(c)
+            for r in range(ring.order):
+                for c in (ring.mul[r][a], ring.mul[a][r]):
+                    if c not in members:
+                        fresh.add(c)
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
+
+
+def _reference_join(ring, a, b):
+    if a <= b:
+        return b
+    if b <= a:
+        return a
+    members = set()
+    for x in a:
+        if x not in members:
+            row = ring.add[x]
+            members.update(row[y] for y in b)
+    return frozenset(members)
+
+
+def _reference_ideals(ring):
+    """The lattice by joining every pair of found ideals, in (size, members) order."""
+    found = {frozenset({0})}
+    for x in range(1, ring.order):
+        found.add(_reference_ideal_closure(ring, {x}))
+    worklist = list(found)
+    while worklist:
+        nxt = []
+        for a in worklist:
+            for b in list(found):
+                join = _reference_join(ring, a, b)
+                if join not in found:
+                    found.add(join)
+                    nxt.append(join)
+        worklist = nxt
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _reference_radical(ring, lattice):
+    """The join of every nilpotent ideal of the lattice."""
+    acc = frozenset({0})
+    for ideal in lattice:
+        if structure._ideal_is_nilpotent(ring, ideal) is not None:
+            acc = _reference_join(ring, acc, ideal)
+    return structure.Ideal(ring, tuple(sorted(acc)))
+
+
+def _reference_subring(ring, gens):
+    """Closure of `gens` under +, - and * by a fixpoint over all pairs."""
+    neg = [row.index(0) for row in ring.add]
+    members = {0} | set(gens)
+    while True:
+        new = set()
+        for a in members:
+            if neg[a] not in members:
+                new.add(neg[a])
+            for b in members:
+                for c in (ring.add[a][b], ring.mul[a][b]):
+                    if c not in members:
+                        new.add(c)
+        if not new:
+            break
+        members |= new
+    emb = tuple(sorted(members))
+    image = [0] * ring.order
+    for i, x in enumerate(emb):
+        image[x] = i
+    sub = rings._induced(ring, emb, image, tuple(ring.element_name(x) for x in emb))
+    return rings.GeneratedSubring(sub, emb)
+
+
+def _reference_decompose(ring, lattice):
+    components = [frozenset(range(ring.order))]
+    done = False
+    while not done:
+        done = True
+        for ci, comp in enumerate(components):
+            split = structure._find_split(ring, lattice, comp)
+            if split:
+                components[ci: ci + 1] = [split[0], split[1]]
+                done = False
+                break
+
+    def sort_key(s):
+        members = tuple(sorted(s))
+        sub = _reference_subring(ring, members).ring
+        return (len(s), structure.ring_canonical_certificate(sub), members)
+
+    components.sort(key=sort_key)
+    return [structure.Ideal(ring, tuple(sorted(s))) for s in components]
+
+
+def test_spans_match_the_fixpoint_reference():
+    rng = random.Random(11)
+    classes = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    assert len(classes) == 125
+    for ring in classes + [relabel(r, rng) for r in classes if r.order > 2]:
+        n = ring.order
+        closures = [_reference_ideal_closure(ring, {x}) for x in range(n)]
+        assert [members for _, members in structure._principal_ideals(ring)] == closures
+        lattice = _reference_ideals(ring)
+        assert [i.members for i in structure.ideals(ring)] == [tuple(sorted(s)) for s in lattice]
+        assert structure.jacobson_radical(ring) == _reference_radical(ring, lattice)
+        nonzero = [c for c in closures if len(c) > 1]
+        meet_nonzero = bool(nonzero) and len(frozenset.intersection(*nonzero)) > 1
+        assert structure.is_subdirectly_irreducible(ring) == meet_nonzero
+        assert structure.decompose(ring) == _reference_decompose(ring, lattice)
+        for _ in range(4):
+            gens = rng.sample(range(n), rng.randint(0, min(3, n)))
+            assert rings.subring_generated(ring, gens) == _reference_subring(ring, gens)
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_ideals_of_a_null_ring_are_its_subspaces():
+    # Every subgroup of a null ring is an ideal, and GF(2)^6 has
+    # [6 choose k]_2 subspaces of dimension k: 2825 in all.
+    ring = rings.from_products((2,) * 6, (0,) * 36)
+    sizes = collections.Counter(len(i) for i in structure.ideals(ring))
+    assert sizes == {2 ** k: _gaussian_binomial(6, k, 2) for k in range(7)}
+    assert sum(sizes.values()) == 2825
+
+
 def _fixpoint_span(ring, seed):
     members = set(seed) | {0}
     frontier = list(members)
@@ -267,7 +419,7 @@ def _fixpoint_lattice(ring):
     nilpotent ideal (oracle)."""
     found = {frozenset({0})}
     for x in range(1, ring.order):
-        found.add(structure._ideal_closure(ring, {x}))
+        found.add(_reference_ideal_closure(ring, {x}))
     worklist = list(found)
     while worklist:
         nxt = []
