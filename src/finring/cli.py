@@ -153,10 +153,12 @@ def _cmd_zdg(args) -> int:
 
 def _cmd_identity(args) -> int:
     ring = rings.read_ringtab(args.ring)
-    if os.path.exists(args.polynomials):
-        suite = freealg.load_suite(args.polynomials)
+    # argparse before Python 3.12 reads "-- --" as an empty list, not the text "--".
+    text = args.polynomials if isinstance(args.polynomials, str) else "--"
+    if os.path.exists(text):
+        suite = freealg.load_suite(text)
     else:
-        suite = [(args.polynomials, freealg.parse(args.polynomials))]
+        suite = [(text, freealg.parse(text))]
     all_ok = True
     for source, poly in suite:
         result = freealg.satisfies_identity(ring, poly, budget=args.budget)

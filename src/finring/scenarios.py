@@ -77,21 +77,15 @@ def cor1(cache: AtlasCache) -> ScenarioResult:
     hits = atlas.rings_with_graph(9, graphs.complete_graph(2), provider=cache.get)
     lines.append(f"classes of order <= 9 with 2-clique zero-divisor graph: {len(hits)}")
     ok &= _check(lines, len(hits) == 4, "exactly four classes")
-    matched: dict[str, int] = {}
+    # Each atlas entry holds its certificate; compute each expected ring's once.
+    certificates = {name: structure.ring_canonical_certificate(r) for name, r in expected.items()}
+    matched: list[str] = []
     for entry in hits:
-        names = [
-            name
-            for name, ring in expected.items()
-            if structure.ring_isomorphic(entry.ring, ring) is not None
-        ]
+        names = [name for name, cert in certificates.items() if entry.certificate == cert]
         lines.append(f"  order {entry.ring.order} {entry.ring.label} ~ {', '.join(names) or '???'}")
-        for name in names:
-            matched[name] = matched.get(name, 0) + 1
-    ok &= _check(
-        lines,
-        all(matched.get(name, 0) == 1 for name in expected),
-        "one-to-one match with the expected four rings",
-    )
+        matched += names
+    one_to_one = sorted(matched) == sorted(expected)
+    ok &= _check(lines, one_to_one, "one-to-one match with the expected four rings")
     for name, ring in expected.items():
         clique = graphs.is_complete(graphs.zero_divisor_graph(ring))
         ok &= _check(lines, clique == 2, f"graph of {name} is K2")
@@ -175,13 +169,8 @@ def prop4_counterexample(cache: AtlasCache) -> ScenarioResult:
         f"graph collisions among order <= 9 rings satisfying "
         f"[{', '.join(freealg.render(p) for p in identities)}]: {len(collisions)}"
     )
-    found = any(
-        structure.ring_isomorphic(a.ring, left) is not None
-        and structure.ring_isomorphic(b.ring, right) is not None
-        or structure.ring_isomorphic(a.ring, right) is not None
-        and structure.ring_isomorphic(b.ring, left) is not None
-        for a, b in collisions
-    )
+    pair = {structure.ring_canonical_certificate(left), structure.ring_canonical_certificate(right)}
+    found = any({a.certificate, b.certificate} == pair for a, b in collisions)
     ok &= _check(lines, found, "the (N0_3, Z2+Z2) collision pair is reported")
     return ScenarioResult("prop4-counterexample", bool(ok), lines)
 
@@ -257,15 +246,13 @@ def theorem3_shape(cache: AtlasCache) -> ScenarioResult:
                 f"  {entry.ring.label}: every element nilpotent, no nonzero idempotent",
             )
     ok &= _check(lines, checked > 0, "the filtered family is nonempty")
-    z2_entries = [
-        e
-        for e in cache.get(2)
-        if e.report.is_field
-        and structure.ring_isomorphic(e.ring, rings.gf(2, 1)) is not None
-    ]
+    z2_cert = structure.ring_canonical_certificate(rings.gf(2, 1))
+    z2_entries = [e for e in cache.get(2) if e.certificate == z2_cert]
     ok &= _check(
         lines,
-        len(z2_entries) == 1 and structure.is_subdirectly_irreducible(z2_entries[0].ring),
+        len(z2_entries) == 1
+        and structure.is_field(z2_entries[0].ring)
+        and structure.is_subdirectly_irreducible(z2_entries[0].ring),
         "the field GF(2) appears in the atlas and is subdirectly irreducible",
     )
     return ScenarioResult("theorem3-shape", bool(ok), lines)

@@ -62,12 +62,13 @@ def units(ring: FiniteRing) -> set[int]:
     e = has_identity(ring)
     if e is None:
         raise NoIdentity("units are only defined for rings with identity")
-    n = ring.order
-    out = set()
-    for x in range(n):
-        if any(ring.mul[x][y] == e and ring.mul[y][x] == e for y in range(n)):
-            out.add(x)
-    return out
+    return _units(ring, e)
+
+
+def _units(ring: FiniteRing, e: int) -> set[int]:
+    """Invertible elements with respect to the identity e."""
+    n, mul = ring.order, ring.mul
+    return {x for x in range(n) if any(mul[x][y] == e == mul[y][x] for y in range(n))}
 
 
 def idempotents(ring: FiniteRing) -> set[int]:
@@ -117,15 +118,15 @@ def _check_cap(ring: FiniteRing, cap: int, what: str) -> None:
 
 
 def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal]:
-    """All two-sided ideals, sorted by (size, members).
-
-    Every ideal is the join of the principal ideals of its elements, so
-    joining each ideal found with each principal ideal until nothing new
-    appears reaches them all.  A join is the additive span of the two
-    generating sets; multiplicative closure is inherited.
-    """
+    """All two-sided ideals, sorted by (size, members)."""
     _check_cap(ring, cap, "ideal enumeration")
-    principal = _principal_ideals(ring)
+    return [Ideal(ring, tuple(sorted(s))) for s in _lattice(ring, _principal_ideals(ring))]
+
+
+def _lattice(ring: FiniteRing, principal: list[tuple[list[int], frozenset[int]]]) -> list[frozenset[int]]:
+    """Every ideal, sorted by (size, members): each is the join of the
+    principal ideals of its elements.  A join is the additive span of the two
+    generating sets; multiplicative closure is inherited."""
     found = {members: kept for kept, members in principal}
     worklist = list(found.items())
     while worklist:
@@ -148,8 +149,7 @@ def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal
                     found[join] = kept
                     nxt.append((join, kept))
         worklist = nxt
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [Ideal(ring, tuple(sorted(s))) for s in ordered]
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def _ideal_is_nilpotent(ring: FiniteRing, members: Collection[int]) -> int | None:
@@ -216,10 +216,13 @@ def _meet_is_nonzero(candidates: Iterable[frozenset[int]]) -> bool:
 
 def is_field(ring: FiniteRing) -> bool:
     """Has identity, commutative, and every nonzero element invertible."""
-    if has_identity(ring) is None or not is_commutative(ring):
-        return False
-    invertible = units(ring)
-    return all(x in invertible for x in range(1, ring.order))
+    e = has_identity(ring)
+    return e is not None and _is_field(ring, is_commutative(ring), _units(ring, e))
+
+
+def _is_field(ring: FiniteRing, commutative: bool, invertible: set[int]) -> bool:
+    """The field test; without an identity `invertible` is empty and it fails."""
+    return commutative and all(x in invertible for x in range(1, ring.order))
 
 
 def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
@@ -228,7 +231,12 @@ def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
     """
     if has_identity(ring) is None:
         raise NoIdentity("locality is only defined for rings with identity")
-    return len(units(ring) | set(jacobson_radical(ring, cap=cap).members)) == ring.order
+    return _is_local(ring, units(ring), jacobson_radical(ring, cap=cap))
+
+
+def _is_local(ring: FiniteRing, invertible: set[int], radical: Ideal) -> bool:
+    """The locality test; without an identity `invertible` is empty and it fails."""
+    return bool(invertible) and len(invertible | set(radical.members)) == ring.order
 
 
 def _find_split(
@@ -451,30 +459,28 @@ class StructureReport:
 
 
 def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> StructureReport:
-    """Compute the full invariant summary for one ring.
-
-    The radical, locality and subdirect irreducibility are read off the
-    principal ideals, each spanned on the additive generators; the ideal
-    lattice is built once, for decomposability only.
-    """
+    """The full invariant summary for one ring, each fact computed once; the
+    radical, subdirect irreducibility and the lattice share the principal ideals."""
     identity = has_identity(ring)
     # Over the cap, name the step that needs the ideals first: the radical
     # when there is an identity, subdirect irreducibility when there is none.
     _check_cap(ring, cap, "radical computation" if identity is not None else "subdirect irreducibility")
+    commutative = is_commutative(ring)
+    invertible = set() if identity is None else _units(ring, identity)
     principal = _principal_ideals(ring)
     radical = _nilpotent_union(ring, principal)
-    lattice = [frozenset(i.members) for i in ideals(ring, cap=cap)]
+    split = _find_split(ring, _lattice(ring, principal), frozenset(range(ring.order)))
     return StructureReport(
         label=ring.label,
         order=ring.order,
         characteristic=rings.characteristic(ring),
         has_identity=identity,
-        is_commutative=is_commutative(ring),
-        is_field=is_field(ring),
-        is_local=identity is not None and len(units(ring) | set(radical.members)) == ring.order,
+        is_commutative=commutative,
+        is_field=_is_field(ring, commutative, invertible),
+        is_local=_is_local(ring, invertible, radical),
         is_nilpotent=is_nilpotent_ring(ring),
         is_subdirectly_irreducible=_meet_is_nonzero(ideal for _, ideal in principal),
-        is_decomposable=_find_split(ring, lattice, frozenset(range(ring.order))) is not None,
+        is_decomposable=split is not None,
         zero_divisor_count=len(zero_divisors(ring)),
         jacobson_radical=radical,
     )

@@ -141,7 +141,7 @@ def test_structure_report_builds_one_lattice(monkeypatch, atlas_by_order):
     samples = [e.ring for n in (4, 6, 8) for e in atlas_by_order[n]]
     samples += [rings.matrix_ring(rings.zn(2), 2), power(rings.zn(2), 4)]
     with monkeypatch.context() as patch:
-        calls = counting(patch, structure, "ideals")
+        calls = counting(patch, structure, "_lattice")
         refuse(patch, structure, "ring_canonical_certificate")
         reports = []
         for ring in samples:

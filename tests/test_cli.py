@@ -299,3 +299,11 @@ def test_identity_check_long_words(tmp_path, capsys):
     assert code == 0 and out.endswith(" - x\n") and out.startswith("PASS xxx")
     code, out, err = run_cli(["identity", "check", z2, "x" * (freealg.MAX_EXPANSION + 1)], capsys)
     assert (code, out) == (3, "") and "over the limit" in err
+
+
+def test_identity_check_text_after_two_dashes(tmp_path, capsys):
+    # "-- --" must read as the polynomial text "--", whatever argparse makes of it.
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    code, out, err = run_cli(["identity", "check", "--budget", "64", z2, "--", "--"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: ")

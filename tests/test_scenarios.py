@@ -132,6 +132,33 @@ def test_scenarios_cover_public_surface(atlas_dir, tmp_path, monkeypatch):
     assert missing == []
 
 
+def test_scenarios_match_atlas_entries_by_certificate(atlas_dir, monkeypatch):
+    # On a warm cache every atlas entry already holds its certificate, so no
+    # scenario runs an isomorphism search on an entry's ring.
+    loaded: list[atlas.AtlasEntry] = []
+    searched: list[tuple] = []
+    load, search = atlas.load_atlas, structure.ring_isomorphic
+
+    def loading(path):
+        entries = load(path)
+        loaded.extend(entries)
+        return entries
+
+    def searching(r, s, **kwargs):
+        searched.append((r, s))
+        return search(r, s, **kwargs)
+
+    monkeypatch.setattr(atlas, "load_atlas", loading)
+    monkeypatch.setattr(structure, "ring_isomorphic", searching)
+    cache = scenarios.AtlasCache(str(atlas_dir))
+    for name in scenarios.SCENARIO_NAMES:
+        assert scenarios.run(name, cache=cache).passed, name
+    assert len({e.ring.order for e in loaded}) == 9
+    assert searched
+    entry_rings = {id(e.ring) for e in loaded}
+    assert not [pair for pair in searched if entry_rings & {id(pair[0]), id(pair[1])}]
+
+
 def test_cache_round_trip(tmp_path):
     cache = scenarios.AtlasCache(str(tmp_path))
     first = cache.get(4)

@@ -470,3 +470,47 @@ def test_is_local_matches_the_quotient_field_test(atlas_by_order):
     assert verdicts == [structure.structure_report(r).is_local for r in unital]
     assert 0 < sum(verdicts) < len(verdicts)
     assert structure.is_local(rings.zn(1))
+
+
+def test_structure_report_computes_each_fact_once(monkeypatch):
+    rng = random.Random(12)
+    classes = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    assert len(classes) == 125
+    samples = classes + [relabel(r, rng) for r in classes if r.order > 2]
+    names = ("has_identity", "is_commutative", "zero_divisors", "_principal_ideals", "_units", "units")
+    reports = []
+    with monkeypatch.context() as patch:
+        calls = {name: [] for name in names}
+        for name in names:
+            original = getattr(structure, name)
+
+            def counted(*args, _original=original, _calls=calls[name], **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
+
+            patch.setattr(structure, name, counted)
+        for ring in samples:
+            for made in calls.values():
+                made.clear()
+            report = structure.structure_report(ring)
+            counts = {name: len(made) for name, made in calls.items()}
+            unital = report.has_identity is not None
+            assert counts == {
+                "has_identity": 1,
+                "is_commutative": 1,
+                "zero_divisors": 1,
+                "_principal_ideals": 1,
+                "_units": int(unital),
+                "units": 0,
+            }, (ring.label, counts)
+            reports.append(report)
+    for ring, report in zip(samples, reports):
+        assert report.is_field == structure.is_field(ring)
+        unital = report.has_identity is not None
+        assert report.is_local == (unital and structure.is_local(ring))
+        if not unital:
+            with pytest.raises(NoIdentity):
+                structure.is_local(ring)
+        assert report.jacobson_radical == structure.jacobson_radical(ring)
+        assert report.is_subdirectly_irreducible == structure.is_subdirectly_irreducible(ring)
+        assert report.is_decomposable == (len(structure.decompose(ring)) > 1)
