@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from finring import atlas, rings, structure
 from finring.errors import NoIdentity, OrderCapExceeded
 
-from test_certificates import relabel
+from test_certificates import counting, relabel
 
 
 def test_zero_divisor_examples():
@@ -480,15 +480,7 @@ def test_structure_report_computes_each_fact_once(monkeypatch):
     names = ("has_identity", "is_commutative", "zero_divisors", "_principal_ideals", "_units", "units")
     reports = []
     with monkeypatch.context() as patch:
-        calls = {name: [] for name in names}
-        for name in names:
-            original = getattr(structure, name)
-
-            def counted(*args, _original=original, _calls=calls[name], **kwargs):
-                _calls.append(args)
-                return _original(*args, **kwargs)
-
-            patch.setattr(structure, name, counted)
+        calls = {name: counting(patch, structure, name) for name in names}
         for ring in samples:
             for made in calls.values():
                 made.clear()
