@@ -3,9 +3,15 @@
 Strategy per prime-power order: for every abelian type of the additive
 group, scan the generator-product structure constants (each constrained to
 the subgroup its bilinear extension needs), filtering by associativity on
-generator triples as soon as the involved products are fixed.  Survivors are
-deduplicated by additive-automorphism orbits and each class is re-emitted
-from its canonical certificate, which makes the output independent of scan
+generator triples as soon as the involved products are fixed.  The first
+product e0*e0 takes only the least value of each orbit of Stab(e0), the
+additive automorphisms fixing e0 (the first-level orbit pruning of McKay &
+Piperno, arXiv:1301.1493): relabelling by such an automorphism keeps a ring
+in its class and moves e0*e0 within its orbit, so every class meets a
+scanned value.  A scan job is an additive type with some of those values;
+one set of additive-automorphism orbits covers the whole job, so a job
+certifies each class it meets once.  Each class is re-emitted from its
+canonical certificate, which makes the output independent of scan
 partitioning and worker count.  Composite orders are assembled from the
 prime-power parts, since a finite ring is the direct sum of its primary
 components.
@@ -152,9 +158,30 @@ def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tup
     return [tuple(int(v) for v in row) for row in frontier[:, order_cols]]
 
 
+def _first_product_reps(typ: tuple[int, ...]) -> tuple[int, ...]:
+    """The least allowed value of e0*e0 in each orbit of Stab(e0).
+
+    An automorphism phi fixing e0 relabels a ring R into phi.R, whose first
+    product is phi(e0*e0), and phi.R lies in the class of R.  So every class
+    has a presentation whose first product is one of these values.
+    """
+    group = addgroup.std_group(typ)
+    autos = addgroup.automorphism_perms(typ)
+    e0 = group.gens[0]
+    stab = autos[autos[:, e0] == e0]
+    reps: list[int] = []
+    covered: set[int] = set()
+    for v in group.annihilated_by(typ[0]):
+        if v not in covered:
+            reps.append(v)
+            covered.update(stab[:, v].tolist())
+    return tuple(reps)
+
+
 def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[bytes]:
-    """Worker body: scan one chunk and return the certificates of the classes
-    first seen inside it (orbit-deduplicated locally)."""
+    """Worker body: scan the job's first-product values one at a time and
+    return the certificates of the classes first seen inside the job (one
+    orbit-dedup set covers all its values)."""
     import numpy as np
 
     typ, first_vals = job
@@ -167,13 +194,14 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[by
     rows = np.arange(len(autos))[:, None]
     seen: set[tuple[int, ...]] = set()
     certs: list[bytes] = []
-    for products in _scan_tensors(typ, first_vals):
-        if products in seen:
-            continue
-        ring = rings.from_products(typ, products)
-        certs.append(structure.ring_canonical_certificate(ring))
-        cells = np.array(ring.mul, dtype=np.uint8)[inv_gens[:, :, None], inv_gens[:, None, :]]
-        seen.update(map(tuple, autos[rows, cells.reshape(len(autos), -1)].tolist()))
+    for v in first_vals:
+        for products in _scan_tensors(typ, (v,)):
+            if products in seen:
+                continue
+            ring = rings.from_products(typ, products)
+            certs.append(structure.ring_canonical_certificate(ring))
+            cells = np.array(ring.mul, dtype=np.uint8)[inv_gens[:, :, None], inv_gens[:, None, :]]
+            seen.update(map(tuple, autos[rows, cells.reshape(len(autos), -1)].tolist()))
     return certs
 
 
@@ -192,8 +220,8 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
 
 
 def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
-    jobs = []
-    for typ in abelian_group_types(q, cap=cap):
+    types = abelian_group_types(q, cap=cap)
+    for typ in types:
         group = addgroup.std_group(typ)
         positions = _scan_positions(len(typ))
         space = 1
@@ -204,13 +232,15 @@ def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
                 f"additive type {typ} needs a scan over {space} structure-constant "
                 f"tuples, beyond the supported budget"
             )
-        if len(typ) == 0:
-            jobs.append((typ, ()))
-            continue
-        first_allowed = group.annihilated_by(math.gcd(typ[0], typ[0]))
-        for v in first_allowed:
-            jobs.append((typ, (v,)))
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # Refuse before any automorphism group is built.  The space counts every
+    # first product, not only the representatives the scan takes.
+    cpus = os.cpu_count() or 1
+    jobs = []
+    for typ in types:
+        reps = _first_product_reps(typ)
+        split = min(workers, len(reps), cpus)
+        jobs.extend((typ, reps[i::split]) for i in range(split))
+    workers = min(workers, len(jobs), cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_certificates, jobs))

@@ -13,6 +13,7 @@ cap (up to 16) and is echoed into any output that depends on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -213,7 +214,10 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and help
+    # text reads the terminal width when it is formatted.
     parser = argparse.ArgumentParser(
         prog="finring",
         description="Finite-ring toolkit: Cayley tables, zero-divisor graphs, "

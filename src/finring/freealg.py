@@ -10,6 +10,7 @@ aliases for the first three), juxtaposition for the noncommutative product,
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -451,14 +452,17 @@ def satisfies_identity(
     p is additive in each variable that occurs exactly once in every word, so
     it vanishes on the whole ring iff it does with those variables ranging
     over the generators of (R, +) and the others over all of R.  A failure
-    reports the least counterexample in lexicographic order.  When n^k
-    assignments (k variables) would exceed `budget`, the call raises
+    reports the least counterexample in lexicographic order.  When the
+    assignments of that reduced scan would exceed `budget`, the call raises
     BudgetExceeded unless `sample` asks for that many seeded random
     assignments instead (in which case a reported counterexample is real but
     not necessarily least).
     """
     vars_ = p.variables()
-    total = ring.order ** len(vars_)
+    gens = generators(ring.add)
+    linear = _linear_variables(p)
+    ranges = [gens if v in linear else range(ring.order) for v in vars_]
+    total = math.prod(len(r) for r in ranges)
     if total > budget:
         if sample is None:
             raise BudgetExceeded(
@@ -476,9 +480,6 @@ def satisfies_identity(
     # is a sum of generators below g, at each of which the scan found p
     # vanishing for every value of the later variables (by the same
     # reduction), so p vanishes at a too.
-    gens = generators(ring.add)
-    linear = _linear_variables(p)
-    ranges = [gens if v in linear else range(ring.order) for v in vars_]
     for combo in itertools.product(*ranges):
         assignment = dict(zip(vars_, combo))
         if evaluate(p, ring, assignment) != 0:

@@ -203,6 +203,22 @@ def test_each_chunk_certifies_each_class_once():
                 assert len(certs) == len(set(certs)), (typ, v)
 
 
+def test_representative_scan_matches_the_full_first_product_scan():
+    # A class met at any first product e0*e0 is also met at the least value of
+    # its Stab(e0) orbit, so the representative jobs certify the same classes
+    # as the single-value chunks over every allowed e0*e0, each exactly once.
+    types = [typ for n in (4, 8, 9) for typ in atlas.abelian_group_types(n)]
+    for typ in types + [(4, 4), (9, 3)]:
+        full: set[bytes] = set()
+        for v in addgroup.std_group(typ).annihilated_by(typ[0]):
+            full.update(atlas._chunk_certificates((typ, (v,))))
+        reps = atlas._first_product_reps(typ)
+        strided = [c for i in (0, 1) for c in atlas._chunk_certificates((typ, reps[i::2]))]
+        whole = atlas._chunk_certificates((typ, reps))
+        assert set(strided) == set(whole) == full, typ
+        assert len(whole) == len(set(whole)) == len(full), typ
+
+
 def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
     pools = []
 
@@ -221,8 +237,9 @@ def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
 
     serial = atlas.enumerate_rings(4)
     monkeypatch.setattr(atlas, "ProcessPoolExecutor", SerialPool)
-    # Order 4 splits into eight scan jobs: four per additive type.
-    for cpus, expected in ((4, 4), (64, 8)):
+    # Order 4 splits into seven scan jobs: one per first-product
+    # representative, four for (4) and three for (2, 2).
+    for cpus, expected in ((4, 4), (64, 7)):
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: cpus)
         entries = atlas.enumerate_rings(4, workers=10**6)
         assert pools[-1] == expected

@@ -2,6 +2,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from finring import cli, freealg, graphs, rings
 
 
@@ -307,3 +309,19 @@ def test_identity_check_text_after_two_dashes(tmp_path, capsys):
     run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
     code, out, err = run_cli(["identity", "check", "--budget", "64", z2, "--", "--"], capsys)
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    # The parser is built once per process; no call may leave state in it.
+    assert cli._build_parser() is cli._build_parser()
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["identity", "check", z2])
+    assert exc.value.code == 2 and "required" in capsys.readouterr().err
+    assert run_cli(["identity", "check", str(tmp_path / "missing"), "x"], capsys)[0] == 2
+    assert run_cli(["identity", "check", z2, "x^2 - x", "--budget", "1"], capsys)[0] == 3
+    good = ["identity", "check", z2, "x^2 - x"]
+    first = run_cli(good, capsys)
+    assert first[:2] == (0, "PASS x^2 - x\n")
+    assert run_cli(good, capsys)[:2] == first[:2]

@@ -190,7 +190,11 @@ def test_triangular_ring_kills_triple_products(p):
 
 def test_budget_and_sampling():
     ring = rings.zn(8)
-    wide = fa.parse("x1x2x3x4x5x6x7x8x9")
+    # Linear variables range over the generators, so x1...x9 takes one
+    # assignment; squared, none is linear and all 8^9 exceed the budget.
+    linear = fa.parse("x1x2x3x4x5x6x7x8x9")
+    assert fa.satisfies_identity(ring, linear).counterexample == {v: 1 for v in range(1, 10)}
+    wide = fa.parse("x1^2x2^2x3^2x4^2x5^2x6^2x7^2x8^2x9^2")
     with pytest.raises(BudgetExceeded):
         fa.satisfies_identity(ring, wide)
     # seeded sampling is deterministic and finds a real counterexample here

@@ -192,12 +192,13 @@ def test_failures_stay_within_the_reduced_scan(monkeypatch, seed):
 def test_budget_still_counts_every_assignment(tmp_path, capsys):
     path = tmp_path / "m2z2.txt"
     rings.write_ringtab(rings.matrix_ring(rings.zn(2), 2), path)
-    code = cli.main(["identity", "check", str(path), "xy - yx", "--budget", "255"])
+    # No variable is linear, so the scan counts all 16^2 assignments.
+    code = cli.main(["identity", "check", str(path), "x^2y^2 - y^2x^2", "--budget", "255"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         3, "", "error: 256 assignments exceed the budget of 255\n")
-    code = cli.main(["identity", "check", str(path), "xy - yx", "--budget", "256"])
-    assert (code, capsys.readouterr().out) == (1, "FAIL xy - yx at x=1 y=2\n")
+    code = cli.main(["identity", "check", str(path), "x^2y^2 - y^2x^2", "--budget", "256"])
+    assert (code, capsys.readouterr().out) == (1, "FAIL x^2y^2 - y^2x^2 at x=1 y=3\n")
     code = cli.main(["identity", "check", str(path), "0", "--budget", "0"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (3, "error: 1 assignments exceed the budget of 0\n")
@@ -207,3 +208,11 @@ def test_generating_sets_stay_small():
     for typ in ((2,) * 8, (4, 4, 4, 4), (16, 16), (256,)):
         add = addgroup.std_group(typ).add
         assert len(addgroup.generators(add)) <= math.log2(len(add))
+
+
+def test_s4_on_m2z4_answers_within_the_default_budget(monkeypatch):
+    # 256^4 assignments in all, but s4 is linear in each variable and (R, +)
+    # has 4 generators, so the reduced scan is 4^4 and fits the budget.
+    calls = count_evaluations(monkeypatch)
+    assert fa.satisfies_identity(rings.matrix_ring(rings.zn(4), 2), standard(4)).ok
+    assert len(calls) == 4 ** 4
