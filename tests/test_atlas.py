@@ -219,6 +219,31 @@ def test_representative_scan_matches_the_full_first_product_scan():
         assert len(whole) == len(set(whole)) == len(full), typ
 
 
+def test_serial_build_certifies_each_class_once(monkeypatch):
+    # Machine-independent counts of a serial build of orders 1..15: one
+    # certificate per class of each prime-power part and per direct sum, and
+    # one make_ring per certified scan table and per decoded certificate.
+    def counting(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    certificates = counting(structure, "ring_canonical_certificate")
+    validations = counting(rings, "make_ring")
+    assert len(atlas.enumerate_rings(8)) == 52
+    assert (len(certificates), len(validations)) == (52, 104)
+    for n in range(1, 16):
+        if n != 8:
+            atlas.enumerate_rings(n, cap=15)
+    assert (len(certificates), len(validations)) == (154, 270)
+
+
 def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
     pools = []
 
