@@ -221,6 +221,8 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
 
 def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
     types = abelian_group_types(q, cap=cap)
+    # Refuse before any automorphism group is built.  The space counts every
+    # first product, not only the representatives the scan takes.
     for typ in types:
         group = addgroup.std_group(typ)
         positions = _scan_positions(len(typ))
@@ -232,13 +234,11 @@ def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
                 f"additive type {typ} needs a scan over {space} structure-constant "
                 f"tuples, beyond the supported budget"
             )
-    # Refuse before any automorphism group is built.  The space counts every
-    # first product, not only the representatives the scan takes.
     cpus = os.cpu_count() or 1
     jobs = []
     for typ in types:
         reps = _first_product_reps(typ)
-        split = min(workers, len(reps), cpus)
+        split = max(1, min(workers, len(reps), cpus))
         jobs.extend((typ, reps[i::split]) for i in range(split))
     workers = min(workers, len(jobs), cpus)
     if workers > 1:

@@ -274,6 +274,13 @@ def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
     assert len(pools) == 2
 
 
+def test_worker_counts_below_one_build_serially():
+    serial = [e.certificate for e in atlas.enumerate_rings(8)]
+    for workers in (0, -3):
+        entries = atlas.enumerate_rings(8, workers=workers)
+        assert [e.certificate for e in entries] == serial
+
+
 def test_generator_presentation_products_respect_annihilators():
     typ = (4, 2)
     group = addgroup.std_group(typ)
