@@ -31,18 +31,22 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def multiples(add: Sequence[Sequence[int]], x: int) -> list[int]:
+    """The multiples 0, x, 2x, ... of x below its order, in the abelian group
+    described by `add` (index 0 is zero).  Their count is the order of x, and
+    c*x is m[c % len(m)] for any integer c."""
+    row = add[x]
+    m = [0]
+    cur = x
+    while cur != 0:
+        m.append(cur)
+        cur = row[cur]
+    return m
+
+
 def additive_orders(add: Sequence[Sequence[int]]) -> list[int]:
     """Order of each element in the group described by `add` (index 0 is zero)."""
-    n = len(add)
-    orders = []
-    for x in range(n):
-        cur = x
-        k = 1
-        while cur != 0:
-            cur = add[cur][x]
-            k += 1
-        orders.append(k)
-    return orders
+    return [len(multiples(add, x)) for x in range(len(add))]
 
 
 def span(add: Sequence[Sequence[int]], seeds: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -144,20 +148,8 @@ def iter_basis_perms(add: Sequence[Sequence[int]], typ: tuple[int, ...]) -> Iter
     if not typ:
         yield [0]
         return
-    orders = additive_orders(add)
-    pools = {m: [x for x in range(len(add)) if orders[x] == m] for m in set(typ)}
-    multiples: dict[int, list[int]] = {}
-
-    def mults(b: int, m: int) -> list[int]:
-        cached = multiples.get(b)
-        if cached is None:
-            cached = [0]
-            cur = 0
-            for _ in range(m - 1):
-                cur = add[cur][b]
-                cached.append(cur)
-            multiples[b] = cached
-        return cached
+    mults = [multiples(add, x) for x in range(len(add))]
+    pools = {m: [x for x in range(len(add)) if len(mults[x]) == m] for m in set(typ)}
 
     def rec(i: int, sums: list[int]) -> Iterator[list[int]]:
         if i == len(typ):
@@ -165,7 +157,7 @@ def iter_basis_perms(add: Sequence[Sequence[int]], typ: tuple[int, ...]) -> Iter
             return
         m = typ[i]
         for b in pools[m]:
-            new = [add[s][t] for s in sums for t in mults(b, m)]
+            new = [add[s][t] for s in sums for t in mults[b]]
             if len(set(new)) == len(new):
                 yield from rec(i + 1, new)
 

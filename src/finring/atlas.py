@@ -71,19 +71,25 @@ def _check_enum_cap(n: int, cap: int) -> None:
         )
 
 
+def _primary_parts(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n, p ascending."""
+    parts = []
+    for p in addgroup.prime_factors(n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        parts.append((p, e))
+    return parts
+
+
 def abelian_group_types(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """All abelian groups of order n as descending prime-power order tuples."""
     if n < 1:
         raise ValueError("order must be at least 1")
     _check_enum_cap(n, cap)
-    per_prime = []
-    m = n
-    for p in addgroup.prime_factors(n):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        per_prime.append([tuple(p ** part for part in parts) for parts in _partitions(e)])
+    per_prime = [[tuple(p ** part for part in parts) for parts in _partitions(e)]
+                 for p, e in _primary_parts(n)]
     types = [()]
     for options in per_prime:
         types = [base + extra for base in types for extra in options]
@@ -115,21 +121,26 @@ def _schedule(k: int, positions: list[tuple[int, int]]) -> list[list[tuple[int, 
     return plan
 
 
+def _allowed(typ: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The values each scan position may take: e_i*e_j is killed by
+    gcd(m_i, m_j), since both m_i*e_i and m_j*e_j are zero."""
+    group = addgroup.std_group(typ)
+    positions = _scan_positions(len(typ))
+    return [group.annihilated_by(math.gcd(typ[i], typ[j])) for (i, j) in positions]
+
+
 def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Associative structure-constant assignments with the first product
     restricted to `first_vals`, in lexicographic scan order."""
     import numpy as np
 
-    group = addgroup.std_group(typ)
     k = len(typ)
     if k == 0:
         return [()]
     positions = _scan_positions(k)
     index = {pos: t for t, pos in enumerate(positions)}
     plan = _schedule(k, positions)
-    allowed = [
-        group.annihilated_by(math.gcd(typ[i], typ[j])) for (i, j) in positions
-    ]
+    allowed = _allowed(typ)
     allowed[0] = tuple(v for v in allowed[0] if v in set(first_vals))
     add_np, smul_np, dig_np = addgroup.std_arrays(typ)
 
@@ -165,13 +176,12 @@ def _first_product_reps(typ: tuple[int, ...]) -> tuple[int, ...]:
     product is phi(e0*e0), and phi.R lies in the class of R.  So every class
     has a presentation whose first product is one of these values.
     """
-    group = addgroup.std_group(typ)
     autos = addgroup.automorphism_perms(typ)
-    e0 = group.gens[0]
+    e0 = addgroup.std_group(typ).gens[0]
     stab = autos[autos[:, e0] == e0]
     reps: list[int] = []
     covered: set[int] = set()
-    for v in group.annihilated_by(typ[0]):
+    for v in _allowed(typ)[0]:
         if v not in covered:
             reps.append(v)
             covered.update(stab[:, v].tolist())
@@ -185,13 +195,7 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[by
     import numpy as np
 
     typ, first_vals = job
-    group = addgroup.std_group(typ)
-    autos = addgroup.automorphism_perms(typ)
-    # Under automorphism phi, generator product (i, j) becomes
-    # phi[table[phi^-1[gen_i], phi^-1[gen_j]]]; one gather per class covers
-    # the whole orbit.
-    inv_gens = addgroup.automorphism_inverses(typ)[:, group.gens]
-    rows = np.arange(len(autos))[:, None]
+    gens = list(addgroup.std_group(typ).gens)
     seen: set[tuple[int, ...]] = set()
     certs: list[bytes] = []
     for v in first_vals:
@@ -200,23 +204,11 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[by
                 continue
             ring = rings.from_products(typ, products)
             certs.append(structure.ring_canonical_certificate(ring))
-            cells = np.array(ring.mul, dtype=np.uint8)[inv_gens[:, :, None], inv_gens[:, None, :]]
-            seen.update(map(tuple, autos[rows, cells.reshape(len(autos), -1)].tolist()))
+            # The generator products of every table in the ring's orbit.
+            table = np.array(ring.mul, dtype=np.uint8)
+            orbit = structure._aut_action(typ, table, slice(None), gens)
+            seen.update(map(tuple, orbit.tolist()))
     return certs
-
-
-def _canonical_ring(cert: bytes) -> FiniteRing:
-    """Rebuild the canonical representative ring encoded by a certificate."""
-    header, _, body = cert.partition(b";t=")
-    if not header.startswith(b"FR1;n="):
-        raise FormatError("bad ring certificate header")
-    n = int(header[len(b"FR1;n="):])
-    tpart, _, table_bytes = body.partition(b";")
-    typ = tuple(int(v) for v in tpart.split(b",")) if tpart else ()
-    group = addgroup.std_group(typ)
-    if group.order != n or len(table_bytes) != n * n:
-        raise FormatError("ring certificate does not match its header")
-    return rings.make_ring(group.add, [table_bytes[x * n:(x + 1) * n] for x in range(n)])
 
 
 def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
@@ -224,11 +216,7 @@ def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
     # Refuse before any automorphism group is built.  The space counts every
     # first product, not only the representatives the scan takes.
     for typ in types:
-        group = addgroup.std_group(typ)
-        positions = _scan_positions(len(typ))
-        space = 1
-        for (i, j) in positions:
-            space *= len(group.annihilated_by(math.gcd(typ[i], typ[j])))
+        space = math.prod(len(values) for values in _allowed(typ))
         if space > SCAN_BUDGET:
             raise OrderCapExceeded(
                 f"additive type {typ} needs a scan over {space} structure-constant "
@@ -269,23 +257,13 @@ def enumerate_rings(
     if n < 1:
         raise ValueError("order must be at least 1")
     _check_enum_cap(n, cap)
-    parts = []
-    m = n
-    for p in addgroup.prime_factors(n):
-        q = 1
-        while m % p == 0:
-            m //= p
-            q *= p
-        parts.append(q)
-    parts.sort(reverse=True)
-    if not parts:
-        parts = [1]
+    parts = sorted((p**e for p, e in _primary_parts(n)), reverse=True) or [1]
     per_part: list[list[tuple[bytes, FiniteRing]]] = []
     for q in parts:
         certs = _prime_power_certs(q, cap, workers) if q > 1 else [
             structure.ring_canonical_certificate(rings.zn(1))
         ]
-        per_part.append([(c, _canonical_ring(c)) for c in certs])
+        per_part.append([(c, structure._canonical_ring(c)) for c in certs])
     # A ring decoded from a certificate has that certificate, so only direct
     # sums of several parts need a new one.
     keyed = per_part[0]

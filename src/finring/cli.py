@@ -19,32 +19,10 @@ import re
 import sys
 
 from . import atlas, freealg, graphs, rings, scenarios, structure
-from .errors import (
-    AxiomViolation,
-    BudgetExceeded,
-    FormatError,
-    GraphCapExceeded,
-    NoIdentity,
-    NotAnIdeal,
-    NotPrime,
-    OrderCapExceeded,
-    ParseError,
-    UnboundVariable,
-    ZeroPolynomial,
-)
+from .errors import BudgetExceeded, FinringError, GraphCapExceeded, OrderCapExceeded
 
-_INPUT_ERRORS = (
-    AxiomViolation,
-    NotPrime,
-    NotAnIdeal,
-    NoIdentity,
-    ParseError,
-    UnboundVariable,
-    ZeroPolynomial,
-    FormatError,
-    ValueError,
-    OSError,
-)
+# Every other package error is bad input; the cap errors are caught first.
+_INPUT_ERRORS = (FinringError, ValueError, OSError)
 _CAP_ERRORS = (OrderCapExceeded, GraphCapExceeded, BudgetExceeded)
 
 ENUM_CAP_VAR = "FINRING_ENUM_CAP"

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .addgroup import generators
+from .addgroup import generators, multiples
 from .errors import BudgetExceeded, ParseError, UnboundVariable, ZeroPolynomial
 from .rings import FiniteRing
 
@@ -170,9 +170,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("num", int(text[i:j]), i))
             i = j
@@ -183,7 +183,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             continue
         if ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 tokens.append(("var", 1, i))
@@ -396,18 +396,6 @@ def essentially_depends(p: NcPoly) -> bool:
     return True
 
 
-def _scalar_action(ring: FiniteRing, coeff: int, x: int) -> int:
-    order = 1
-    cur = x
-    while cur != 0:
-        cur = ring.add[cur][x]
-        order += 1
-    acc = 0
-    for _ in range(coeff % order):
-        acc = ring.add[acc][x]
-    return acc
-
-
 def evaluate(p: NcPoly, ring: FiniteRing, assignment: Mapping[int, int]) -> int:
     """Value of p in the ring; integer coefficients act by repeated addition."""
     total = 0
@@ -418,7 +406,8 @@ def evaluate(p: NcPoly, ring: FiniteRing, assignment: Mapping[int, int]) -> int:
                 value = ring.mul[value][assignment[v]]
         except KeyError as exc:
             raise UnboundVariable(f"variable {_var_name(exc.args[0])} has no value") from None
-        total = ring.add[total][_scalar_action(ring, coeff, value)]
+        m = multiples(ring.add, value)
+        total = ring.add[total][m[coeff % len(m)]]
     return total
 
 

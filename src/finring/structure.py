@@ -12,7 +12,7 @@ from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from . import addgroup, rings
-from .errors import BudgetExceeded, NoIdentity, OrderCapExceeded
+from .errors import BudgetExceeded, FormatError, NoIdentity, OrderCapExceeded
 from .rings import FiniteRing
 
 DEFAULT_STRUCTURAL_CAP = 64
@@ -396,17 +396,12 @@ def _canonical(ring: FiniteRing, cap: int) -> tuple[bytes, list[int]]:
     perm0 = next(addgroup.iter_basis_perms(ring.add, typ))
     table = np.frombuffer(bytes(_std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
     autos = addgroup.automorphism_perms(typ)
-    inverses = addgroup.automorphism_inverses(typ)
-    # Under basis perm0 . phi the product of standard elements x, y reads
-    # phi^-1[table[phi[x], phi[y]]].
     width = n * n
     step = max(1, _CERTIFICATE_BLOCK // width)
     best: bytes | None = None
     best_row = 0
     for lo in range(0, len(autos), step):
-        phi = autos[lo: lo + step]
-        cells = table[phi[:, :, None], phi[:, None, :]].reshape(len(phi), width)
-        flat = inverses[lo: lo + step][np.arange(len(phi))[:, None], cells].tobytes()
+        flat = _aut_action(typ, table, slice(lo, lo + step), slice(None)).tobytes()
         rows = [flat[i: i + width] for i in range(0, len(flat), width)]
         cand = min(rows)
         if best is None or cand < best:
@@ -415,6 +410,37 @@ def _canonical(ring: FiniteRing, cap: int) -> tuple[bytes, list[int]]:
     assert best is not None
     header = f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode()
     return header + best, [perm0[x] for x in autos[best_row].tolist()]
+
+
+def _canonical_ring(cert: bytes) -> FiniteRing:
+    """Rebuild the canonical representative ring encoded by a certificate."""
+    header, _, body = cert.partition(b";t=")
+    if not header.startswith(b"FR1;n="):
+        raise FormatError("bad ring certificate header")
+    n = int(header[len(b"FR1;n="):])
+    tpart, _, table_bytes = body.partition(b";")
+    typ = tuple(int(v) for v in tpart.split(b",")) if tpart else ()
+    group = addgroup.std_group(typ)
+    if group.order != n or len(table_bytes) != n * n:
+        raise FormatError("ring certificate does not match its header")
+    return rings.make_ring(group.add, [table_bytes[x * n:(x + 1) * n] for x in range(n)])
+
+
+def _aut_action(typ: tuple[int, ...], table, autos: slice, points):
+    """A standard product table read in the bases phi of Aut(typ), one row per
+    automorphism in `autos` (a slice of `automorphism_perms(typ)`).
+
+    Under basis phi the product of standard elements x, y reads
+    phi^-1[table[phi[x], phi[y]]]; a row holds it for x, y in `points` (an
+    index into the elements), x major.  That is the table relabelled by
+    phi^-1, so the rows over all of Aut are its orbit.
+    """
+    import numpy as np
+
+    phi = addgroup.automorphism_perms(typ)[autos][:, points]
+    inverses = addgroup.automorphism_inverses(typ)[autos]
+    cells = table[phi[:, :, None], phi[:, None, :]].reshape(len(phi), -1)
+    return inverses[np.arange(len(phi))[:, None], cells]
 
 
 @dataclass(frozen=True)

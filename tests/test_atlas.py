@@ -16,6 +16,16 @@ def test_abelian_group_types():
     assert atlas.abelian_group_types(1) == [()]
 
 
+def test_primary_parts():
+    assert atlas._primary_parts(1) == []
+    assert atlas._primary_parts(12) == [(2, 2), (3, 1)]
+    for n in range(1, 300):
+        parts = atlas._primary_parts(n)
+        assert math.prod(p**e for p, e in parts) == n
+        assert [p for p, _ in parts] == addgroup.prime_factors(n)
+        assert all(e >= 1 for _, e in parts)
+
+
 def test_abelian_group_types_caps():
     with pytest.raises(OrderCapExceeded):
         atlas.abelian_group_types(10)

@@ -171,14 +171,14 @@ def test_ring_info_answers_on_large_binary_fields(tmp_path, capsys, k):
 
 def test_enumeration_reuses_decoded_certificates(monkeypatch):
     decoded = []
-    original = atlas._canonical_ring
+    original = structure._canonical_ring
 
     def recording(cert):
         ring = original(cert)
         decoded.append(ring)
         return ring
 
-    monkeypatch.setattr(atlas, "_canonical_ring", recording)
+    monkeypatch.setattr(structure, "_canonical_ring", recording)
     calls = counting(monkeypatch, structure, "ring_canonical_certificate")
     for n in (4, 8, 9):
         entries = atlas.enumerate_rings(n)

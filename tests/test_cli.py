@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from finring import cli, freealg, graphs, rings
+from finring import cli, freealg, graphs, rings, structure
+from finring.errors import FinringError
 
 
 def run_cli(args, capsys):
@@ -325,3 +326,26 @@ def test_one_parser_serves_repeated_calls(tmp_path, capsys):
     first = run_cli(good, capsys)
     assert first[:2] == (0, "PASS x^2 - x\n")
     assert run_cli(good, capsys)[:2] == first[:2]
+
+
+def test_identity_check_superscript_is_an_input_error(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    assert run_cli(["identity", "check", z2, "x²"], capsys) == (
+        2, "", "error: unexpected character '²' (at position 1)\n")
+    assert run_cli(["identity", "check", z2, "x٣ - x3"], capsys) == (0, "PASS x٣ - x3\n", "")
+
+
+def test_every_package_error_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # An error class the CLI has never heard of still exits 2, not with a
+    # traceback and exit 1, which would read as a negative answer.
+    class Unlisted(FinringError):
+        pass
+
+    def fail(ring, **kwargs):
+        raise Unlisted("no report today")
+
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    monkeypatch.setattr(structure, "structure_report", fail)
+    assert run_cli(["ring", "info", z2], capsys) == (2, "", "error: no report today\n")

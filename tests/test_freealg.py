@@ -42,6 +42,28 @@ def test_parse_errors():
         fa.parse("x0")
 
 
+def test_only_decimal_digits_are_numbers(tmp_path):
+    # str.isdigit also accepts characters such as superscripts that int()
+    # refuses; the tokenizer reads exactly the decimal ones, which int() takes.
+    for code in range(0x110000):
+        ch = chr(code)
+        if ch.isdigit() and not ch.isdecimal():
+            with pytest.raises(ParseError) as exc:
+                fa.parse("x" + ch)
+            assert exc.value.position == 1, hex(code)
+    for text, position in (("x²", 1), ("¹x", 0), ("2x + 3y⁴", 7)):
+        with pytest.raises(ParseError) as exc:
+            fa.parse(text)
+        assert exc.value.position == position
+    assert fa.parse("x٣") == fa.parse("x3")
+    assert fa.parse("٢x^٣") == fa.parse("2x^3")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("xy\nx²\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        fa.load_suite(bad)
+    assert str(exc.value) == "line 2: unexpected character '²' (at position 1)"
+
+
 def test_arithmetic_examples():
     x, y = fa.variable(1), fa.variable(2)
     assert fa.mul(x, y) != fa.mul(y, x)

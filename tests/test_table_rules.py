@@ -1,0 +1,138 @@
+"""Each table rule has one owner; these tests hold it to the copies it replaced.
+
+`addgroup.multiples` replaced three walks along 0, x, 2x, ...: the loop of
+`additive_orders`, the `mults` closure of `iter_basis_perms` and
+`freealg._scalar_action`.  The atlas's orbit dedup now reads the orbit of a
+scanned table through the certificate's action phi^-1 . T instead of its own
+phi . T gather.  The references below are the replaced copies, verbatim but
+for their names.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from finring import addgroup, atlas, rings, structure
+from finring import freealg as fa
+
+from test_certificates import relabel
+
+COEFFICIENTS = (-(10**18) - 1, -257, -256, -7, -1, 0, 1, 2, 3, 5, 255, 256, 257, 10**20 + 3)
+
+
+def reference_additive_orders(add):
+    n = len(add)
+    orders = []
+    for x in range(n):
+        cur = x
+        k = 1
+        while cur != 0:
+            cur = add[cur][x]
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def reference_basis_perms(add, typ):
+    if not typ:
+        yield [0]
+        return
+    orders = reference_additive_orders(add)
+    pools = {m: [x for x in range(len(add)) if orders[x] == m] for m in set(typ)}
+    multiples = {}
+
+    def mults(b, m):
+        cached = multiples.get(b)
+        if cached is None:
+            cached = [0]
+            cur = 0
+            for _ in range(m - 1):
+                cur = add[cur][b]
+                cached.append(cur)
+            multiples[b] = cached
+        return cached
+
+    def rec(i, sums):
+        if i == len(typ):
+            yield sums
+            return
+        m = typ[i]
+        for b in pools[m]:
+            new = [add[s][t] for s in sums for t in mults(b, m)]
+            if len(set(new)) == len(new):
+                yield from rec(i + 1, new)
+
+    yield from rec(0, [0])
+
+
+def reference_scalar_action(ring, coeff, x):
+    order = 1
+    cur = x
+    while cur != 0:
+        cur = ring.add[cur][x]
+        order += 1
+    acc = 0
+    for _ in range(coeff % order):
+        acc = ring.add[acc][x]
+    return acc
+
+
+@pytest.fixture(scope="module")
+def sample_rings(atlas_by_order):
+    rng = random.Random(14)
+    classes = [e.ring for n in range(1, 10) for e in atlas_by_order[n]]
+    classes += [e.ring for n in range(10, 16) for e in atlas.enumerate_rings(n, cap=15)]
+    copies = [relabel(ring, rng) for ring in classes if ring.order > 2]
+    large = [rings.zn(64), rings.zn(256), rings.gf(2, 6), rings.matrix_ring(rings.zn(4), 2)]
+    large += [relabel(ring, rng) for ring in large]
+    return classes + copies + large
+
+
+def test_multiples_match_the_replaced_walks(sample_rings):
+    rng = random.Random(15)
+    for ring in sample_rings:
+        add = ring.add
+        orders = reference_additive_orders(add)
+        assert addgroup.additive_orders(add) == orders
+        for x in range(ring.order):
+            m = addgroup.multiples(add, x)
+            assert len(m) == orders[x] and m[0] == 0 and len(set(m)) == len(m)
+        points = range(ring.order) if ring.order <= 16 else rng.sample(range(ring.order), 16)
+        for x in points:
+            m = addgroup.multiples(add, x)
+            for c in COEFFICIENTS:
+                expected = reference_scalar_action(ring, c, x)
+                assert m[c % len(m)] == expected, (ring.label, x, c)
+                poly = fa.NcPoly({(1,): c})
+                assert fa.evaluate(poly, ring, {1: x}) == expected
+
+
+def test_basis_perms_match_the_mults_closure(sample_rings):
+    # GF(64) and M2(Z4) have far too many bases to list, so compare a prefix.
+    for ring in sample_rings:
+        typ = addgroup.additive_type(ring.add)
+        got = itertools.islice(addgroup.iter_basis_perms(ring.add, typ), 200)
+        want = itertools.islice(reference_basis_perms(ring.add, typ), 200)
+        assert list(got) == list(want), ring.label
+
+
+def test_both_actions_give_one_orbit_set():
+    # phi . T relabels T by phi, and phi^-1 . T by phi^-1; over all of Aut the
+    # two sets are equal, which is what the atlas's orbit dedup relies on.
+    # Every table the scan keeps over all first products is checked.
+    for n in (4, 8, 9):
+        for typ in atlas.abelian_group_types(n):
+            group = addgroup.std_group(typ)
+            autos = addgroup.automorphism_perms(typ)
+            inv_gens = addgroup.automorphism_inverses(typ)[:, group.gens]
+            rows = np.arange(len(autos))[:, None]
+            gens = list(group.gens)
+            for products in atlas._scan_tensors(typ, atlas._allowed(typ)[0]):
+                table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
+                cells = table[inv_gens[:, :, None], inv_gens[:, None, :]]
+                forward = autos[rows, cells.reshape(len(autos), -1)]
+                backward = structure._aut_action(typ, table, slice(None), gens)
+                assert set(map(tuple, forward.tolist())) == set(map(tuple, backward.tolist()))
+                assert tuple(products) in set(map(tuple, backward.tolist()))
