@@ -2,17 +2,19 @@
 
 Strategy per prime-power order: for every abelian type of the additive
 group, scan the generator-product structure constants (each constrained to
-the subgroup its bilinear extension needs), filtering by associativity on
-generator triples as soon as the involved products are fixed.  The first
+the subgroup its bilinear extension needs, listed once by `_allowed`),
+filtering by associativity on generator triples as soon as the involved
+products are fixed.  The first
 product e0*e0 takes only the least value of each orbit of Stab(e0), the
 additive automorphisms fixing e0 (the first-level orbit pruning of McKay &
 Piperno, arXiv:1301.1493): relabelling by such an automorphism keeps a ring
 in its class and moves e0*e0 within its orbit, so every class meets a
 scanned value.  A scan job is an additive type with some of those values;
 one set of additive-automorphism orbits covers the whole job, so a job
-certifies each class it meets once.  Each class is re-emitted from its
-canonical certificate, which makes the output independent of scan
-partitioning and worker count.  Composite orders are assembled from the
+certifies each class it meets once.  The orbits are read with the same
+action of Aut(typ) that the certificate minimizes over, and each class is
+re-emitted from its canonical certificate by the decoder in `structure`,
+which makes the output independent of scan partitioning and worker count.  Composite orders are assembled from the
 prime-power parts, since a finite ring is the direct sum of its primary
 components.
 """
