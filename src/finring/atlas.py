@@ -305,8 +305,6 @@ def rings_with_graph(
 def graph_determinacy_report(
     entries: list[AtlasEntry],
     identities: list[freealg.NcPoly] | None = None,
-    *,
-    budget: int = freealg.DEFAULT_EVAL_BUDGET,
 ) -> list[tuple[AtlasEntry, AtlasEntry]]:
     """Pairs with the same graph certificate but different ring certificate.
 
@@ -316,10 +314,7 @@ def graph_determinacy_report(
     kept = [
         e
         for e in entries
-        if all(
-            freealg.satisfies_identity(e.ring, p, budget=budget).ok
-            for p in (identities or [])
-        )
+        if all(freealg.satisfies_identity(e.ring, p).ok for p in (identities or []))
     ]
     by_graph: dict[bytes, list[AtlasEntry]] = {}
     for e in kept:

@@ -117,8 +117,6 @@ def _cmd_zdg(args) -> int:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(graphs.export_dot(graph))
         return 0
-    if len(args.paths) != 2:
-        raise ValueError("expected zdg iso <ringtab-a> <ringtab-b>")
     ga = graphs.zero_divisor_graph(rings.read_ringtab(args.paths[0]))
     gb = graphs.zero_divisor_graph(rings.read_ringtab(args.paths[1]))
     witness = graphs.graph_isomorphic(ga, gb)
@@ -155,7 +153,7 @@ def _parse_graph_spec(spec: str, max_order: int, cap: int) -> graphs.SimpleGraph
         n = int(match.group(1))
         # An over-cap clique is refused unbuilt, after the enumeration cap
         # that rings_with_graph checks first.
-        if n > graphs.DEFAULT_GRAPH_CAP:
+        if n > graphs.GRAPH_CAP:
             atlas._check_enum_cap(max_order, cap)
             graphs._check_graph_cap(n)
         return graphs.complete_graph(n)
@@ -185,7 +183,7 @@ def _cmd_verify(args) -> int:
     cap, overridden = _enum_cap()
     _echo_cap(cap, overridden)
     cache = scenarios.AtlasCache(args.atlas_dir, cap=cap, workers=args.workers)
-    result = scenarios.run(args.scenario, p=args.p, cache=cache, workers=args.workers)
+    result = scenarios.run(args.scenario, p=args.p, cache=cache)
     print(f"RESULT {result.name} {'PASS' if result.passed else 'FAIL'}")
     for line in result.lines:
         print(f"  {line}")
@@ -221,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zgraph.add_argument("--dot", help="also write DOT text to this path")
     zgraph.set_defaults(func=_cmd_zdg)
     ziso = zdg_sub.add_parser("iso", help="test two ring files for graph isomorphism")
-    ziso.add_argument("paths", nargs=2, metavar=("a", "b"))
+    ziso.add_argument("paths", nargs=2, metavar="file")
     ziso.set_defaults(func=_cmd_zdg, dot=None)
 
     ident = sub.add_parser("identity", help="check polynomial identities on a ring")

@@ -25,7 +25,7 @@ from . import structure
 from .errors import FormatError, GraphCapExceeded
 from .rings import FiniteRing
 
-DEFAULT_GRAPH_CAP = 64
+GRAPH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -213,14 +213,14 @@ def _search(n: int, adj: list[set[int]]) -> tuple[bytes, list[int]]:
     return visit([0] * n, [])
 
 
-def _check_graph_cap(n: int, cap: int = DEFAULT_GRAPH_CAP) -> None:
-    if n > cap:
-        raise GraphCapExceeded(f"graph has {n} vertices, cap is {cap}")
+def _check_graph_cap(n: int) -> None:
+    if n > GRAPH_CAP:
+        raise GraphCapExceeded(f"graph has {n} vertices, cap is {GRAPH_CAP}")
 
 
-def _canonical(graph: SimpleGraph, cap: int) -> tuple[bytes, list[int]]:
+def _canonical(graph: SimpleGraph) -> tuple[bytes, list[int]]:
     n = graph.vertex_count
-    _check_graph_cap(n, cap)
+    _check_graph_cap(n)
     header = f"G1;n={n};".encode()
     if n == 0:
         return header, []
@@ -228,14 +228,12 @@ def _canonical(graph: SimpleGraph, cap: int) -> tuple[bytes, list[int]]:
     return header + body, order
 
 
-def canonical_form(graph: SimpleGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> bytes:
+def canonical_form(graph: SimpleGraph) -> bytes:
     """Certificate equal for two graphs exactly when they are isomorphic."""
-    return _canonical(graph, cap)[0]
+    return _canonical(graph)[0]
 
 
-def graph_isomorphic(
-    g: SimpleGraph, h: SimpleGraph, *, cap: int = DEFAULT_GRAPH_CAP
-) -> list[int] | None:
+def graph_isomorphic(g: SimpleGraph, h: SimpleGraph) -> list[int] | None:
     """An adjacency-preserving vertex bijection g -> h, or None.
 
     Agrees with canonical-form equality by construction: both graphs are
@@ -243,8 +241,8 @@ def graph_isomorphic(
     """
     if g.vertex_count != h.vertex_count:
         return None
-    cg, og = _canonical(g, cap)
-    ch, oh = _canonical(h, cap)
+    cg, og = _canonical(g)
+    ch, oh = _canonical(h)
     if cg != ch:
         return None
     mapping = [0] * g.vertex_count

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import addgroup
 from .errors import AxiomViolation, FormatError, NotAnIdeal, NotPrime, OrderCapExceeded
 
-DEFAULT_ORDER_CAP = 256
+ORDER_CAP = 256
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -179,14 +179,14 @@ def _order_name(base: int, exp: int, n: int | None) -> str:
     return f"of over {exp * (base.bit_length() - 1)} bits"
 
 
-def _check_order(base: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
+def _check_order(base: int, exp: int = 1) -> int:
     """The order base^exp, or OrderCapExceeded if it is over the cap.
 
     Families call this before building a table.
     """
     n = None if base > 1 and exp * base.bit_length() > _MAX_ORDER_BITS else base ** exp
-    if n is None or n > order_cap:
-        raise OrderCapExceeded(f"order {_order_name(base, exp, n)} exceeds the cap of {order_cap}")
+    if n is None or n > ORDER_CAP:
+        raise OrderCapExceeded(f"order {_order_name(base, exp, n)} exceeds the cap of {ORDER_CAP}")
     return n
 
 
@@ -195,8 +195,6 @@ def make_ring(
     mul: Sequence[Sequence[int]],
     label: str | None = None,
     element_names: Sequence[str] | None = None,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteRing:
     """Validate a pair of Cayley tables and wrap them as a ring.
 
@@ -206,7 +204,7 @@ def make_ring(
     n = len(add)
     if n == 0:
         raise AxiomViolation("table-shape", (0,), "a ring needs at least the zero element")
-    _check_order(n, order_cap=order_cap)
+    _check_order(n)
     add_t, a = _as_table(add, n, "add")
     mul_t, m = _as_table(mul, n, "mul")
     _check_axioms(add_t, a, m)
@@ -246,7 +244,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> None:
+def _require_prime(p: int, exp: int = 1) -> None:
     """NotPrime unless p is prime, for a family of order p^exp.
 
     From psi_12 up the test is no longer known to be exact and one base costs
@@ -254,7 +252,7 @@ def _require_prime(p: int, exp: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) 
     cap first: it is at least p.
     """
     if p >= _MR_EXACT_BELOW:
-        _check_order(p, max(exp, 1), order_cap=order_cap)
+        _check_order(p, max(exp, 1))
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
@@ -264,8 +262,6 @@ def from_products(
     products: Sequence[int],
     label: str | None = None,
     element_names: Sequence[str] | None = None,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteRing:
     """Ring on the standard group of `typ` whose product is the bilinear
     extension of the generator products.
@@ -275,7 +271,7 @@ def from_products(
     """
     import numpy as np
 
-    _check_order(math.prod(typ), order_cap=order_cap)
+    _check_order(math.prod(typ))
     group = addgroup.std_group(typ)
     add, smul, digits = addgroup.std_arrays(typ)
     k = len(typ)
@@ -286,7 +282,7 @@ def from_products(
             if product:
                 coeff = np.multiply.outer(digits[:, i], digits[:, j]) % math.gcd(typ[i], typ[j])
                 mul = add[mul, smul[coeff, product]]
-    return make_ring(group.add, mul.tolist(), label, element_names, order_cap=order_cap)
+    return make_ring(group.add, mul.tolist(), label, element_names)
 
 
 def zn(n: int) -> FiniteRing:
@@ -356,16 +352,16 @@ def _poly_name(digits: Sequence[int], var: str = "x") -> str:
     return "+".join(parts) if parts else "0"
 
 
-def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+def gf(p: int, k: int = 1) -> FiniteRing:
     """Galois field of order p^k, built on the least monic irreducible polynomial.
 
     Element i encodes the polynomial whose coefficient of x^j is the j-th
     base-p digit of i, so 0..p-1 is the prime subfield.
     """
-    _require_prime(p, k, order_cap=order_cap)
+    _require_prime(p, k)
     if k < 1:
         raise ValueError("extension degree must be at least 1")
-    q = _check_order(p, k, order_cap=order_cap)
+    q = _check_order(p, k)
     modulus = _least_irreducible(p, k)
     # powers[e] is the element x^e; a remainder lists coefficients from x^0 up.
     powers = [sum(c * p ** d for d, c in enumerate(_poly_rem(p, [0] * e + [1], modulus)))
@@ -375,7 +371,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     products = [powers[2 * k - 2 - s - t] for s in range(k) for t in range(k)]
     typ = (p,) * k
     names = tuple(_poly_name(d[::-1]) for d in addgroup.std_group(typ).digits)
-    return from_products(typ, products, f"GF({q})", names, order_cap=order_cap)
+    return from_products(typ, products, f"GF({q})", names)
 
 
 def n0(p: int, n: int = 1) -> FiniteRing:
@@ -442,13 +438,13 @@ def zpx_mod_x2(p: int) -> FiniteRing:
     return _pair_ring(p, (0, p, p, 1), "Z{p}[x]/(x^2)", lambda c1, c0: _poly_name((c0, c1)))
 
 
-def direct_sum(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+def direct_sum(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     """Componentwise ring structure on the product of the two index sets."""
     import numpy as np
 
     n = r.order * s.order
-    if n > order_cap:
-        raise OrderCapExceeded(f"combined order {n} exceeds the cap of {order_cap}")
+    if n > ORDER_CAP:
+        raise OrderCapExceeded(f"combined order {n} exceeds the cap of {ORDER_CAP}")
     so = s.order
 
     # Element a * |s| + b is the pair (a, b); axes run a1, b1, a2, b2.
@@ -459,21 +455,20 @@ def direct_sum(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_C
     label = f"{r.label}+{s.label}" if r.label and s.label else None
     names = tuple(f"({r.element_name(a)},{s.element_name(b)})"
                   for a in range(r.order) for b in range(so))
-    return make_ring(table(r.add, s.add), table(r.mul, s.mul), label=label, element_names=names,
-                     order_cap=order_cap)
+    return make_ring(table(r.add, s.add), table(r.mul, s.mul), label=label, element_names=names)
 
 
-def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+def matrix_ring(r: FiniteRing, k: int) -> FiniteRing:
     """Ring of k x k matrices over r, with entries packed base |r| row-major."""
     import numpy as np
 
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
-    n = _check_order(r.order, k * k, order_cap=order_cap)
+    n = _check_order(r.order, k * k)
     label = f"M{k}({r.label})" if r.label else None
     if n == 1:
         # Over the zero ring every matrix is zero, whatever k is.
-        return make_ring(((0,),), ((0,),), label=label, order_cap=order_cap)
+        return make_ring(((0,),), ((0,),), label=label)
     # Entry (i, j) of matrix x is base-|r| digit i * k + j of x, least
     # significant first.
     weights = r.order ** np.arange(k * k)
@@ -485,7 +480,7 @@ def matrix_ring(r: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) ->
         prod = add[prod, mul[left[..., l, None], right[..., None, l, :]]]
     sums = add[entries[:, None, :], entries[None, :, :]]
     return make_ring((sums @ weights).tolist(), (prod.reshape(n, n, k * k) @ weights).tolist(),
-                     label=label, order_cap=order_cap)
+                     label=label)
 
 
 def ideal_members(ring: FiniteRing, ideal: object) -> tuple[int, ...]:
@@ -601,7 +596,7 @@ def format_ringtab(ring: FiniteRing) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ringtab(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+def parse_ringtab(text: str) -> FiniteRing:
     lines = [
         line.strip()
         for line in text.splitlines()
@@ -647,7 +642,7 @@ def parse_ringtab(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
     mul = read_table("mul", take())
     if pos != len(lines):
         raise FormatError(f"trailing content after mul table: {lines[pos]!r}")
-    return make_ring(add, mul, label=label, order_cap=order_cap)
+    return make_ring(add, mul, label=label)
 
 
 def write_ringtab(ring: FiniteRing, path) -> None:
@@ -655,6 +650,6 @@ def write_ringtab(ring: FiniteRing, path) -> None:
         fh.write(format_ringtab(ring))
 
 
-def read_ringtab(path, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+def read_ringtab(path) -> FiniteRing:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_ringtab(fh.read(), order_cap=order_cap)
+        return parse_ringtab(fh.read())

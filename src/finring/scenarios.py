@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from . import atlas, freealg, graphs, rings, structure
+from .errors import FormatError
 
 SCENARIO_NAMES = (
     "cor1",
@@ -49,6 +50,9 @@ class AtlasCache:
             path = os.path.join(self.directory, f"atlas-{n}.txt")
             if os.path.exists(path):
                 entries = atlas.load_atlas(path)
+                # Every order has at least one class, so an empty file is not an atlas.
+                if not entries or entries[0].ring.order != n:
+                    raise FormatError(f"{path} does not hold the atlas of order {n}")
                 self._memo[n] = entries
                 return entries
         entries = atlas.enumerate_rings(n, cap=self.cap, workers=self.workers)
@@ -258,15 +262,9 @@ def theorem3_shape(cache: AtlasCache) -> ScenarioResult:
     return ScenarioResult("theorem3-shape", bool(ok), lines)
 
 
-def run(
-    name: str,
-    *,
-    p: int = 2,
-    cache: AtlasCache | None = None,
-    workers: int = 1,
-) -> ScenarioResult:
+def run(name: str, *, p: int = 2, cache: AtlasCache | None = None) -> ScenarioResult:
     """Dispatch a scenario by its command-line name."""
-    cache = cache or AtlasCache(workers=workers)
+    cache = cache or AtlasCache()
     if name == "cor1":
         return cor1(cache)
     if name == "prop5":

@@ -15,7 +15,7 @@ from . import addgroup, rings
 from .errors import BudgetExceeded, FormatError, NoIdentity, OrderCapExceeded
 from .rings import FiniteRing
 
-DEFAULT_STRUCTURAL_CAP = 64
+STRUCTURAL_CAP = 64
 # Largest additive automorphism group a certificate minimizes over.  It covers
 # every additive type of order <= 16 and (3, 3, 3); GL(5, 2) is far above it.
 AUTOMORPHISM_BUDGET = 1 << 17
@@ -112,14 +112,14 @@ def _principal_ideals(ring: FiniteRing) -> list[tuple[list[int], frozenset[int]]
     return out
 
 
-def _check_cap(ring: FiniteRing, cap: int, what: str) -> None:
-    if ring.order > cap:
-        raise OrderCapExceeded(f"{what} is capped at order {cap}, got {ring.order}")
+def _check_cap(ring: FiniteRing, what: str) -> None:
+    if ring.order > STRUCTURAL_CAP:
+        raise OrderCapExceeded(f"{what} is capped at order {STRUCTURAL_CAP}, got {ring.order}")
 
 
-def ideals(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal]:
+def ideals(ring: FiniteRing) -> list[Ideal]:
     """All two-sided ideals, sorted by (size, members)."""
-    _check_cap(ring, cap, "ideal enumeration")
+    _check_cap(ring, "ideal enumeration")
     return [Ideal(ring, tuple(sorted(s))) for s in _lattice(ring, _principal_ideals(ring))]
 
 
@@ -166,13 +166,13 @@ def _ideal_is_nilpotent(ring: FiniteRing, members: Collection[int]) -> int | Non
     return power
 
 
-def jacobson_radical(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> Ideal:
+def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Largest nilpotent two-sided ideal (the radical of a finite ring).
 
     It is the sum of all nilpotent ideals, which sidesteps quasi-regularity
     for rings without identity, so it holds x exactly when (x) is nilpotent.
     """
-    _check_cap(ring, cap, "radical computation")
+    _check_cap(ring, "radical computation")
     return _nilpotent_union(ring, _principal_ideals(ring))
 
 
@@ -190,13 +190,13 @@ def is_nilpotent_ring(ring: FiniteRing) -> int | None:
     return _ideal_is_nilpotent(ring, range(ring.order))
 
 
-def is_subdirectly_irreducible(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
+def is_subdirectly_irreducible(ring: FiniteRing) -> bool:
     """True iff the intersection of all nonzero ideals is nonzero.
 
     It suffices to intersect the nonzero principal ideals, since every
     nonzero ideal contains one.
     """
-    _check_cap(ring, cap, "subdirect irreducibility")
+    _check_cap(ring, "subdirect irreducibility")
     return _meet_is_nonzero(ideal for _, ideal in _principal_ideals(ring))
 
 
@@ -225,13 +225,13 @@ def _is_field(ring: FiniteRing, commutative: bool, invertible: set[int]) -> bool
     return commutative and all(x in invertible for x in range(1, ring.order))
 
 
-def is_local(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> bool:
+def is_local(ring: FiniteRing) -> bool:
     """True iff every element is a unit or lies in the radical J (identity
     required).  Then R/J is a finite division ring, hence a field.
     """
     if has_identity(ring) is None:
         raise NoIdentity("locality is only defined for rings with identity")
-    return _is_local(ring, units(ring), jacobson_radical(ring, cap=cap))
+    return _is_local(ring, units(ring), jacobson_radical(ring))
 
 
 def _is_local(ring: FiniteRing, invertible: set[int], radical: Ideal) -> bool:
@@ -254,15 +254,15 @@ def _find_split(
     return None
 
 
-def decompose(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> list[Ideal]:
+def decompose(ring: FiniteRing) -> list[Ideal]:
     """A finest splitting of the ring into direct summand ideals.
 
     Greedily splits components against complementary ideal pairs; a singleton
     result means the ring is indecomposable.  Components come back sorted by
     (size, certificate) so the output is deterministic.
     """
-    _check_cap(ring, cap, "decomposition")
-    lattice = [frozenset(i.members) for i in ideals(ring, cap=cap)]
+    _check_cap(ring, "decomposition")
+    lattice = [frozenset(i.members) for i in ideals(ring)]
     components = [frozenset(range(ring.order))]
     done = False
     while not done:
@@ -331,9 +331,7 @@ def _fingerprint(ring: FiniteRing) -> tuple:
     )
 
 
-def ring_isomorphic(
-    r: FiniteRing, s: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP
-) -> RingHom | None:
+def ring_isomorphic(r: FiniteRing, s: FiniteRing) -> RingHom | None:
     """An isomorphism r -> s read off the two canonical forms, or None.
 
     Pairs whose cheap invariants differ are rejected before any
@@ -343,14 +341,14 @@ def ring_isomorphic(
     Additive types beyond AUTOMORPHISM_BUDGET raise BudgetExceeded, as the
     certificate does.
     """
-    _check_cap(r, cap, "isomorphism search")
-    _check_cap(s, cap, "isomorphism search")
+    _check_cap(r, "isomorphism search")
+    _check_cap(s, "isomorphism search")
     if r.order != s.order:
         return None
     if _fingerprint(r) != _fingerprint(s):
         return None
-    cert_r, basis_r = _canonical(r, cap)
-    cert_s, basis_s = _canonical(s, cap)
+    cert_r, basis_r = _canonical(r)
+    cert_s, basis_s = _canonical(s)
     if cert_r != cert_s:
         return None
     images = [0] * r.order
@@ -361,9 +359,7 @@ def ring_isomorphic(
     return hom
 
 
-def ring_canonical_certificate(
-    ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP
-) -> bytes:
+def ring_canonical_certificate(ring: FiniteRing) -> bytes:
     """Byte string equal for two rings exactly when they are isomorphic.
 
     The additive group is put in the standard layout of its invariant type
@@ -373,10 +369,10 @@ def ring_canonical_certificate(
     the minimum is taken over Aut(typ) in vectorized blocks.  Types whose
     automorphism group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
     """
-    return _canonical(ring, cap)[0]
+    return _canonical(ring)[0]
 
 
-def _canonical(ring: FiniteRing, cap: int) -> tuple[bytes, list[int]]:
+def _canonical(ring: FiniteRing) -> tuple[bytes, list[int]]:
     """The certificate and a basis attaining it.
 
     The basis maps each standard index to the ring element carrying it;
@@ -384,7 +380,7 @@ def _canonical(ring: FiniteRing, cap: int) -> tuple[bytes, list[int]]:
     """
     import numpy as np
 
-    _check_cap(ring, cap, "certificate computation")
+    _check_cap(ring, "certificate computation")
     typ = addgroup.additive_type(ring.add)
     count = addgroup.automorphism_count(typ)
     if count > AUTOMORPHISM_BUDGET:
@@ -484,13 +480,13 @@ class StructureReport:
         return "\n".join(lines) + "\n"
 
 
-def structure_report(ring: FiniteRing, *, cap: int = DEFAULT_STRUCTURAL_CAP) -> StructureReport:
+def structure_report(ring: FiniteRing) -> StructureReport:
     """The full invariant summary for one ring, each fact computed once; the
     radical, subdirect irreducibility and the lattice share the principal ideals."""
     identity = has_identity(ring)
     # Over the cap, name the step that needs the ideals first: the radical
     # when there is an identity, subdirect irreducibility when there is none.
-    _check_cap(ring, cap, "radical computation" if identity is not None else "subdirect irreducibility")
+    _check_cap(ring, "radical computation" if identity is not None else "subdirect irreducibility")
     commutative = is_commutative(ring)
     invertible = set() if identity is None else _units(ring, identity)
     principal = _principal_ideals(ring)

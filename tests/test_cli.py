@@ -1,10 +1,11 @@
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
-from finring import cli, freealg, graphs, rings, structure
+from finring import atlas, cli, freealg, graphs, rings, structure
 from finring.errors import FinringError
 
 
@@ -105,6 +106,14 @@ def test_zdg_iso_exit_codes(tmp_path, capsys):
     assert code == 1 and "not isomorphic" in out
 
 
+def test_zdg_iso_needs_two_files(capsys):
+    for paths in ([], ["a.ring"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zdg", "iso", *paths])
+        assert exc.value.code == 2
+        assert "the following arguments are required" in capsys.readouterr().err
+
+
 def test_identity_check(tmp_path, capsys):
     n4 = str(tmp_path / "n4.ring")
     run_cli(["ring", "build", "np2", "2", "--out", n4], capsys)
@@ -167,6 +176,19 @@ def test_atlas_query(atlas_dir, capsys):
         int(line.split()[1]) for line in out.splitlines() if line.startswith("order")
     )
     assert orders == [3, 4, 9, 9]
+
+
+def test_atlas_query_refuses_a_file_that_is_not_the_atlas_of_its_order(tmp_path, atlas_dir, capsys):
+    # Order-4 classes filed as atlas-8.txt, then an empty atlas-8.txt.
+    for n in range(1, 10):
+        shutil.copy(atlas_dir / f"atlas-{n}.txt", tmp_path)
+    bad = tmp_path / "atlas-8.txt"
+    argv = ["atlas", "query", "--graph", "K2", "--max-order", "9", "--atlas-dir", str(tmp_path)]
+    for entries in (atlas.load_atlas(atlas_dir / "atlas-4.txt"), []):
+        atlas.save_atlas(entries, bad)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad} does not hold the atlas of order 8\n"
 
 
 def test_atlas_query_dot_file(tmp_path, atlas_dir, capsys):

@@ -448,7 +448,7 @@ def test_unprintable_orders_are_cap_errors():
         sys.set_int_max_str_digits(limit)
 
 
-def test_matrix_ring_over_zero_ring():
+def test_matrix_ring_over_zero_ring(monkeypatch):
     for k in range(1, 5):
         ring = rings.matrix_ring(rings.zn(1), k)
         assert (ring.order, ring.add, ring.mul, ring.label, ring.element_names) == (
@@ -458,10 +458,11 @@ def test_matrix_ring_over_zero_ring():
     assert time.perf_counter() - start < 1
     unlabeled = rings.make_ring([[0]], [[0]])
     assert rings.matrix_ring(unlabeled, 3).label is None
-    with pytest.raises(OrderCapExceeded):
-        rings.matrix_ring(rings.zn(1), 2, order_cap=0)
     with pytest.raises(ValueError):
         rings.matrix_ring(rings.zn(1), 0)
+    monkeypatch.setattr(rings, "ORDER_CAP", 0)
+    with pytest.raises(OrderCapExceeded):
+        rings.matrix_ring(rings.zn(1), 2)
 
 
 def _tensor_loop(typ, products):
@@ -511,11 +512,14 @@ def test_from_products_checks_the_cap_first(monkeypatch):
     monkeypatch.setattr(addgroup, "std_group", lambda typ: pytest.fail("group built"))
     with pytest.raises(OrderCapExceeded, match=r"^order 512 exceeds the cap of 256$"):
         rings.from_products((2,) * 9, (0,) * 81)
+    monkeypatch.setattr(rings, "ORDER_CAP", 8)
     with pytest.raises(OrderCapExceeded, match=r"^order 9 exceeds the cap of 8$"):
-        rings.from_products((3, 3), (0,) * 4, order_cap=8)
+        rings.from_products((3, 3), (0,) * 4)
 
 
-def test_gf_builds_up_to_its_order_cap():
-    assert rings.gf(257, 1, order_cap=257).order == 257
+def test_gf_builds_up_to_its_order_cap(monkeypatch):
+    monkeypatch.setattr(rings, "ORDER_CAP", 257)
+    assert rings.gf(257, 1).order == 257
+    monkeypatch.setattr(rings, "ORDER_CAP", 4)
     with pytest.raises(OrderCapExceeded, match=r"^order 8 exceeds the cap of 4$"):
-        rings.gf(2, 3, order_cap=4)
+        rings.gf(2, 3)

@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import inspect
 import os
 import pathlib
 import shutil
@@ -8,6 +9,7 @@ import shutil
 import pytest
 
 from finring import atlas, freealg, graphs, rings, scenarios, structure
+from finring.errors import GraphCapExceeded, OrderCapExceeded
 
 PUBLIC_OPS = {
     rings: [
@@ -166,6 +168,25 @@ def test_cache_round_trip(tmp_path):
     fresh = scenarios.AtlasCache(str(tmp_path))
     second = fresh.get(4)
     assert [e.certificate for e in first] == [e.certificate for e in second]
+
+
+def test_caps_are_module_constants():
+    # Order 256, and 64 for structure and graphs, hold for every call: no
+    # public function can lift them.
+    listed = [(m, name) for m in (rings, structure, graphs) for name in PUBLIC_OPS[m]]
+    unlisted = [(rings, "from_products"), (rings, "parse_ringtab"), (rings, "read_ringtab"),
+                (structure, "structure_report")]
+    for module, name in listed + unlisted:
+        params = inspect.signature(getattr(module, name)).parameters
+        assert not {"cap", "order_cap"} & set(params), f"{module.__name__}.{name}"
+    assert "budget" not in inspect.signature(atlas.graph_determinacy_report).parameters
+    assert "workers" not in inspect.signature(scenarios.run).parameters
+    with pytest.raises(OrderCapExceeded, match=r"^order 257 exceeds the cap of 256$"):
+        rings.zn(257)
+    with pytest.raises(OrderCapExceeded, match=r"^radical computation is capped at order 64, got 65$"):
+        structure.structure_report(rings.zn(65))
+    with pytest.raises(GraphCapExceeded, match=r"^graph has 65 vertices, cap is 64$"):
+        graphs.canonical_form(graphs.make_graph(65, []))
 
 
 def test_tracer_layer_names_resolve():
