@@ -111,8 +111,10 @@ def _cmd_zdg(args) -> int:
     if args.action == "graph":
         ring = rings.read_ringtab(args.paths[0])
         graph = graphs.zero_divisor_graph(ring)
+        # The certificate comes first, so a refusal prints no half result.
+        certificate = graphs.canonical_form(graph).hex()
         print(f"{graph.vertex_count} vertices, {len(graph.edges)} edges")
-        print(f"certificate {graphs.canonical_form(graph).hex()}")
+        print(f"certificate {certificate}")
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(graphs.export_dot(graph))

@@ -39,14 +39,22 @@ class FiniteRing:
         return f"FiniteRing(order={self.order}, label={self.label!r})"
 
 
-def _as_table(raw: Sequence[Sequence[int]], n: int, which: str):
-    """The rows as a tuple table and as an n x n array, or AxiomViolation
-    for the first row of the wrong length or entry outside [0, n)."""
+def _as_table(raw, n: int, which: str):
+    """The rows, given as sequences or as an integer array, as a tuple table
+    and as an n x n array, or AxiomViolation for the first row of the wrong
+    length or entry outside [0, n)."""
     import numpy as np
 
     if len(raw) != n:
         raise AxiomViolation("table-shape", (len(raw), n), f"{which} table must be {n}x{n}")
     dtype = np.min_scalar_type(n - 1)
+    array = None
+    if isinstance(raw, np.ndarray):
+        # A bool or float array has no integer entries; the loop below names
+        # the first, as it would in a list.
+        if raw.dtype.kind in "iu":
+            array = raw
+        raw = raw.tolist()
     try:
         rows = tuple(map(tuple, raw))
     except TypeError:
@@ -56,14 +64,14 @@ def _as_table(raw: Sequence[Sequence[int]], n: int, which: str):
     # Only int entries go to numpy, since it would take a bool or a float;
     # a ragged row or an entry out of range sends the rows to the loop
     # below, which names the first failure.
-    if rows is not raw and set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-        try:
+    if array is None and rows is not raw and set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        with contextlib.suppress(ValueError, OverflowError):
             array = np.array(rows, dtype=dtype)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if array.shape == (n, n) and array.max() < n:
-                return rows, array
+    # An array built from the rows is unsigned; only a signed one can hold a
+    # negative entry.
+    if (array is not None and array.shape == (n, n) and array.max() < n
+            and (array.dtype.kind == "u" or array.min() >= 0)):
+        return rows, array.astype(dtype, copy=False)
     for i, row in enumerate(rows):
         row = tuple(row)
         if len(row) != n:
@@ -196,7 +204,8 @@ def make_ring(
     label: str | None = None,
     element_names: Sequence[str] | None = None,
 ) -> FiniteRing:
-    """Validate a pair of Cayley tables and wrap them as a ring.
+    """Validate a pair of Cayley tables, each given as rows of ints or as an
+    integer array, and wrap them as a ring.
 
     Every axiom is checked eagerly; the first failure raises AxiomViolation
     naming the axiom and a witness tuple.
@@ -282,7 +291,7 @@ def from_products(
             if product:
                 coeff = np.multiply.outer(digits[:, i], digits[:, j]) % math.gcd(typ[i], typ[j])
                 mul = add[mul, smul[coeff, product]]
-    return make_ring(group.add, mul.tolist(), label, element_names)
+    return make_ring(group.add, mul, label, element_names)
 
 
 def zn(n: int) -> FiniteRing:
@@ -448,9 +457,9 @@ def direct_sum(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     so = s.order
 
     # Element a * |s| + b is the pair (a, b); axes run a1, b1, a2, b2.
-    def table(rt: Table, st: Table) -> list[list[int]]:
+    def table(rt: Table, st: Table):
         cells = np.array(rt)[:, None, :, None] * so + np.array(st)[None, :, None, :]
-        return cells.reshape(n, n).tolist()
+        return cells.reshape(n, n)
 
     label = f"{r.label}+{s.label}" if r.label and s.label else None
     names = tuple(f"({r.element_name(a)},{s.element_name(b)})"
@@ -479,8 +488,7 @@ def matrix_ring(r: FiniteRing, k: int) -> FiniteRing:
     for l in range(k):
         prod = add[prod, mul[left[..., l, None], right[..., None, l, :]]]
     sums = add[entries[:, None, :], entries[None, :, :]]
-    return make_ring((sums @ weights).tolist(), (prod.reshape(n, n, k * k) @ weights).tolist(),
-                     label=label)
+    return make_ring(sums @ weights, prod.reshape(n, n, k * k) @ weights, label=label)
 
 
 def ideal_members(ring: FiniteRing, ideal: object) -> tuple[int, ...]:
@@ -537,7 +545,7 @@ def _induced(ring: FiniteRing, elements: Sequence[int], image: Sequence[int],
     import numpy as np
 
     cells = np.ix_(elements, elements)
-    add, mul = (np.asarray(image)[np.array(t)[cells]].tolist() for t in (ring.add, ring.mul))
+    add, mul = (np.asarray(image)[np.array(t)[cells]] for t in (ring.add, ring.mul))
     return make_ring(add, mul, element_names=names)
 
 
@@ -596,7 +604,17 @@ def format_ringtab(ring: FiniteRing) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ringtab_row(line: str, header: str) -> list[int]:
+    """One row of a ringtab table, read token by token through int()."""
+    try:
+        return list(map(int, line.split()))
+    except ValueError:
+        raise FormatError(f"non-integer entry in {header} table") from None
+
+
 def parse_ringtab(text: str) -> FiniteRing:
+    import numpy as np
+
     lines = [
         line.strip()
         for line in text.splitlines()
@@ -627,16 +645,26 @@ def parse_ringtab(text: str) -> FiniteRing:
         label = section.split(None, 1)[1]
         section = take()
 
-    def read_table(header: str, got: str) -> list[list[int]]:
+    def read_table(header: str, got: str):
+        nonlocal pos
         if got != header:
             raise FormatError(f"expected '{header}' section, found {got!r}")
-        rows = []
-        for _ in range(n):
-            try:
-                rows.append(list(map(int, take().split())))
-            except ValueError:
-                raise FormatError(f"non-integer entry in {header} table") from None
-        return rows
+        # The written form, n rows of n ASCII digit runs split by single
+        # spaces, is read as one block; int64 saturates an over-long token,
+        # so it fails the range check.  A block in range is cast at once to
+        # the type `make_ring` keeps, so no int64 copy outlives the read.
+        # Any other text, and any entry out of range, goes token by token
+        # through int(), which names the fault.
+        block = lines[pos:pos + n]
+        joined = " ".join(block)
+        if (0 < n == len(block) and joined.isascii() and "  " not in joined
+                and not joined.encode().translate(None, b"0123456789 ")
+                and all(row.count(" ") == n - 1 for row in block)):
+            table = np.fromstring(joined, dtype=np.int64, sep=" ").reshape(n, n)
+            if table.max() < n:
+                pos += n
+                return table.astype(np.min_scalar_type(n - 1))
+        return [_ringtab_row(take(), header) for _ in range(n)]
 
     add = read_table("add", section)
     mul = read_table("mul", take())

@@ -410,6 +410,8 @@ def _canonical(ring: FiniteRing) -> tuple[bytes, list[int]]:
 
 def _canonical_ring(cert: bytes) -> FiniteRing:
     """Rebuild the canonical representative ring encoded by a certificate."""
+    import numpy as np
+
     header, _, body = cert.partition(b";t=")
     if not header.startswith(b"FR1;n="):
         raise FormatError("bad ring certificate header")
@@ -419,7 +421,7 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
     group = addgroup.std_group(typ)
     if group.order != n or len(table_bytes) != n * n:
         raise FormatError("ring certificate does not match its header")
-    return rings.make_ring(group.add, [table_bytes[x * n:(x + 1) * n] for x in range(n)])
+    return rings.make_ring(group.add, np.frombuffer(table_bytes, np.uint8).reshape(n, n))
 
 
 def _aut_action(typ: tuple[int, ...], table, autos: slice, points):

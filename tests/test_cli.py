@@ -86,7 +86,15 @@ def test_zdg_graph_and_dot(tmp_path, capsys):
     run_cli(["ring", "build", "np2", "2", "--out", n4], capsys)
     code, out, _ = run_cli(["zdg", "graph", n4, "--dot", dot], capsys)
     assert code == 0 and out.splitlines()[0] == "3 vertices, 2 edges"
-    assert "0 -- 1;" in open(dot).read()
+    with open(dot, encoding="utf-8") as fh:
+        assert "0 -- 1;" in fh.read()
+
+
+def test_zdg_graph_over_the_cap_prints_no_half_result(tmp_path, capsys):
+    path = str(tmp_path / "z256.ring")
+    rings.write_ringtab(rings.zn(256), path)
+    assert run_cli(["zdg", "graph", path], capsys) == (
+        3, "", "error: graph has 127 vertices, cap is 64\n")
 
 
 def test_zdg_iso_exit_codes(tmp_path, capsys):

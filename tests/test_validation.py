@@ -23,8 +23,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from finring import addgroup, atlas, rings
+from finring import addgroup, atlas, cli, rings
 from finring.errors import AxiomViolation, FormatError
+
+from test_certificates import relabel
+from test_golden import FAMILY_GRID_SHA256
 
 
 def _reference_triples(n, add, mul):
@@ -454,3 +457,154 @@ def test_ringtab_tokens_read_as_int_reads_them():
     with pytest.raises(AxiomViolation) as exc:
         rings.parse_ringtab(text)
     assert str(exc.value) == "entry-range fails at (0, 0): add[0][0] = 10 not in [0, 4)"
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint16, bool, np.float64])
+@pytest.mark.parametrize("i, j, v", [(None, None, None), (0, 0, 4), (2, 3, -1), (3, 1, 1)])
+def test_array_tables_match_the_per_entry_loop(dtype, i, j, v):
+    # An integer array is checked in numpy; any other array, and any array
+    # that fails, names the same fault as its rows given as lists.
+    table = np.array(rings.zn(4).mul)
+    if i is not None:
+        table[i, j] = v
+    array = table.astype(dtype)
+    expected = _outcome(_reference_as_table, array.tolist(), 4)
+    assert _outcome(lambda raw, n, which: rings._as_table(raw, n, which)[0], array, 4) == expected
+    if isinstance(expected[0], tuple):
+        rows, checked = rings._as_table(array, 4, "mul")
+        assert {type(x) for row in rows for x in row} == {int}
+        assert checked.dtype == np.uint8 and checked.tolist() == [list(row) for row in expected]
+
+
+# --- the ringtab block read ------------------------------------------------------
+#
+# Tables in the written form are read as one block per section; anything else
+# goes through `rings._ringtab_row`, token by token.
+
+
+def _z4_edit(section, i, new_row):
+    lines = rings.format_ringtab(rings.zn(4)).splitlines()
+    lines[lines.index(section) + 1 + i] = new_row
+    return "\n".join(lines) + "\n"
+
+
+def _entry_edit(ring, section, i, j, token):
+    lines = rings.format_ringtab(ring).splitlines()
+    row = lines.index(section) + 1 + i
+    tokens = lines[row].split(" ")
+    tokens[j] = token
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _ragged(section, short, long):
+    lines = rings.format_ringtab(rings.zn(4)).splitlines()
+    at = lines.index(section)
+    lines[at + 1], lines[at + 2] = short, long
+    return "\n".join(lines) + "\n"
+
+
+# What each input gave before the block read existed: None for a ring equal
+# to Z4, else the exception type and its text.
+MALFORMED_RINGTABS = {
+    "ragged add rows": (_ragged("add", "0 1 2", "3 1 2 3 0"), AxiomViolation,
+                        "table-shape fails at (0, 3): add row 0 has wrong length"),
+    "ragged mul rows": (_ragged("mul", "0 0 0", "0 0 1 2 3"), AxiomViolation,
+                        "table-shape fails at (0, 3): mul row 0 has wrong length"),
+    "20-digit token": (_z4_edit("add", 1, "1 2 3 99999999999999999999"), AxiomViolation,
+                       "entry-range fails at (1, 3): add[1][3] = 99999999999999999999 not in [0, 4)"),
+    "20-digit token at order 16": (
+        _entry_edit(rings.gf(2, 4), "mul", 15, 15, "1" * 20), AxiomViolation,
+        "entry-range fails at (15, 15): mul[15][15] = 11111111111111111111 not in [0, 16)"),
+    "entry equal to n": (_z4_edit("add", 1, "1 2 3 4"), AxiomViolation,
+                         "entry-range fails at (1, 3): add[1][3] = 4 not in [0, 4)"),
+    "entry equal to n at order 256": (
+        _entry_edit(rings.gf(2, 8), "add", 200, 17, "256"), AxiomViolation,
+        "entry-range fails at (200, 17): add[200][17] = 256 not in [0, 256)"),
+    "double spaces": (_z4_edit("add", 1, "1 2  3 0"), None, None),
+    "tab": (_z4_edit("add", 1, "1\t2 3 0"), None, None),
+    "CRLF": (rings.format_ringtab(rings.zn(4)).replace("\n", "\r\n"), None, None),
+    "form feed": (_z4_edit("add", 1, "1\x0c2 3 0"), FormatError,
+                  "expected 'mul' section, found '3 0 1 2'"),
+    "negative token": (_z4_edit("add", 1, "1 2 3 -1"), AxiomViolation,
+                       "entry-range fails at (1, 3): add[1][3] = -1 not in [0, 4)"),
+    "negative token at order 16": (_entry_edit(rings.gf(2, 4), "mul", 3, 0, "-5"), AxiomViolation,
+                                   "entry-range fails at (3, 0): mul[3][0] = -5 not in [0, 16)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RINGTABS))
+def test_malformed_ringtabs_read_as_before(name):
+    text, error, message = MALFORMED_RINGTABS[name]
+    if error is None:
+        parsed = rings.parse_ringtab(text)
+        assert (parsed.add, parsed.mul, parsed.label) == (rings.zn(4).add, rings.zn(4).mul, "Z4")
+    else:
+        with pytest.raises(error) as exc:
+            rings.parse_ringtab(text)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def _token_by_token(text):
+    """`text` with a plus sign on every table entry and tabs between them,
+    a form that only the per-token reader takes."""
+    return rings.parse_ringtab("\n".join(
+        "\t".join("+" + v for v in line.split(" ")) if line[:1].isdigit() else line
+        for line in text.splitlines()))
+
+
+def _assert_block_read_matches(monkeypatch, texts):
+    rows_read = []
+    original = rings._ringtab_row
+
+    def counted(line, header):
+        rows_read.append(line)
+        return original(line, header)
+
+    monkeypatch.setattr(rings, "_ringtab_row", counted)
+    for text in texts:
+        block = rings.parse_ringtab(text)
+        assert not rows_read
+        ring = _token_by_token(text)
+        assert len(rows_read) == 2 * ring.order
+        rows_read.clear()
+        assert block == ring
+        assert {type(x) for t in (block.add, block.mul) for row in t for x in row} == {int}
+
+
+def test_block_read_matches_per_token_read_on_family_tables(monkeypatch):
+    _assert_block_read_matches(monkeypatch, (
+        rings.format_ringtab(cli._INT_FAMILIES[family][0](*args))
+        for family, (grid, _) in sorted(FAMILY_GRID_SHA256.items()) for args in grid))
+
+
+def test_block_read_matches_per_token_read_on_atlas_blocks(monkeypatch, atlas_dir):
+    texts = []
+    for n in range(1, 10):
+        # The layout that `atlas.load_atlas` reads: three header lines, one
+        # certificate line per entry, then the ringtab blocks.
+        lines = (atlas_dir / f"atlas-{n}.txt").read_text(encoding="utf-8").splitlines()
+        body = "\n".join(lines[3 + int(lines[2].split()[1]):])
+        texts.extend(block for block in body.split("\n\n") if block.strip())
+    assert len(texts) == 1 + 2 + 2 + 11 + 2 + 4 + 2 + 52 + 11
+    _assert_block_read_matches(monkeypatch, texts)
+
+
+def test_block_read_matches_per_token_read_on_relabelings(monkeypatch):
+    rng = random.Random(16)
+    built = [rings.matrix_ring(rings.zn(4), 2), rings.gf(7, 2),
+             _direct_power(rings.zn(2), 6), _direct_power(rings.zn(2), 5)]
+    _assert_block_read_matches(monkeypatch, (
+        rings.format_ringtab(relabel(ring, rng)) for ring in built for _ in range(2)))
+
+
+@pytest.mark.parametrize("build", [lambda: rings.matrix_ring(rings.zn(4), 2),
+                                   lambda: rings.gf(7, 2), lambda: rings.zn(1)])
+def test_written_ringtabs_never_reach_the_per_token_read(monkeypatch, build):
+    def per_token(line, header):
+        raise AssertionError("per-token read reached")
+
+    monkeypatch.setattr(rings, "_ringtab_row", per_token)
+    ring = build()
+    parsed = rings.parse_ringtab(rings.format_ringtab(ring))
+    assert (parsed.add, parsed.mul, parsed.label) == (ring.add, ring.mul, ring.label)
