@@ -39,7 +39,7 @@ SCAN_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class AtlasEntry:
-    """One class as an atlas file stores it; report and graph form are computed on first read."""
+    """One class as an atlas file stores it; report, graph and graph form are computed on first read."""
 
     ring: FiniteRing
     certificate: bytes
@@ -49,8 +49,17 @@ class AtlasEntry:
         return structure.structure_report(self.ring)
 
     @cached_property
+    def graph(self) -> graphs.SimpleGraph:
+        return graphs.zero_divisor_graph(self.ring)
+
+    @cached_property
     def graph_certificate(self) -> bytes:
-        return graphs.canonical_form(graphs.zero_divisor_graph(self.ring))
+        return graphs.canonical_form(self.graph)
+
+
+def _graph_size(graph: graphs.SimpleGraph) -> tuple[int, int]:
+    """Vertex and edge counts, which isomorphic graphs share."""
+    return graph.vertex_count, len(graph.edges)
 
 
 def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -293,12 +302,19 @@ def rings_with_graph(
     """Atlas entries of order 1..n_max whose zero-divisor graph matches `graph`.
 
     `provider` maps an order to its entry list, e.g. an AtlasCache's `get`.
+    The target's canonical form is computed first, so an over-cap target is
+    refused before any entry is read.  An entry's graph form is computed only
+    when its graph has the target's vertex and edge counts, since isomorphic
+    graphs agree on both.
     """
     _check_enum_cap(n_max, cap)
     target = graphs.canonical_form(graph)
+    size = _graph_size(graph)
     out = []
     for m in range(1, n_max + 1):
-        out.extend(e for e in provider(m) if e.graph_certificate == target)
+        out.extend(
+            e for e in provider(m) if _graph_size(e.graph) == size and e.graph_certificate == target
+        )
     return out
 
 
@@ -310,15 +326,24 @@ def graph_determinacy_report(
 
     Entries failing any polynomial in `identities` are dropped first; an
     empty result means the surviving family is determined by its graphs.
+    The kept entries are grouped by the vertex and edge counts of their
+    graphs, and graph forms are computed only in groups of two or more: a
+    collision needs equal graphs, and equal graphs have equal counts.
+    Collisions come back sorted by graph certificate, then ring certificate.
     """
     kept = [
         e
         for e in entries
         if all(freealg.satisfies_identity(e.ring, p).ok for p in (identities or []))
     ]
-    by_graph: dict[bytes, list[AtlasEntry]] = {}
+    by_size: dict[tuple[int, int], list[AtlasEntry]] = {}
     for e in kept:
-        by_graph.setdefault(e.graph_certificate, []).append(e)
+        by_size.setdefault(_graph_size(e.graph), []).append(e)
+    by_graph: dict[bytes, list[AtlasEntry]] = {}
+    for same_size in by_size.values():
+        if len(same_size) > 1:
+            for e in same_size:
+                by_graph.setdefault(e.graph_certificate, []).append(e)
     collisions = []
     for gcert in sorted(by_graph):
         group = sorted(by_graph[gcert], key=lambda e: e.certificate)

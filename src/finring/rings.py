@@ -617,7 +617,7 @@ def parse_ringtab(text: str) -> FiniteRing:
 
     lines = [
         line.strip()
-        for line in text.splitlines()
+        for line in text.split("\n")
         if line.strip() and not line.lstrip().startswith("#")
     ]
     pos = 0

@@ -366,8 +366,11 @@ def ring_canonical_certificate(ring: FiniteRing) -> bytes:
     and the multiplication table is minimized lexicographically over every
     decomposition basis.  Those bases are perm0 . phi for one basis perm0 and
     every additive automorphism phi, so the table is standardized once and
-    the minimum is taken over Aut(typ) in vectorized blocks.  Types whose
-    automorphism group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
+    the minimum is taken over Aut(typ) in vectorized blocks: `_aut_action`
+    reads a block of relabeled tables with two flat gathers, and a
+    lexicographic argmin over its rows picks the block's first least table.
+    Types whose automorphism group exceeds AUTOMORPHISM_BUDGET raise
+    BudgetExceeded.
     """
     return _canonical(ring)[0]
 
@@ -397,12 +400,14 @@ def _canonical(ring: FiniteRing) -> tuple[bytes, list[int]]:
     best: bytes | None = None
     best_row = 0
     for lo in range(0, len(autos), step):
-        flat = _aut_action(typ, table, slice(lo, lo + step), slice(None)).tobytes()
-        rows = [flat[i: i + width] for i in range(0, len(flat), width)]
-        cand = min(rows)
+        block = _aut_action(typ, table, slice(lo, lo + step), slice(None))
+        # Rows of one width order the same as byte strings and as bytes, so
+        # trailing nulls cannot reorder them; argmin returns the first least.
+        row = int(block.view(f"S{width}").argmin())
+        cand = block[row].tobytes()
         if best is None or cand < best:
             best = cand
-            best_row = lo + rows.index(cand)
+            best_row = lo + row
     assert best is not None
     header = f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode()
     return header + best, [perm0[x] for x in autos[best_row].tolist()]
@@ -431,14 +436,17 @@ def _aut_action(typ: tuple[int, ...], table, autos: slice, points):
     Under basis phi the product of standard elements x, y reads
     phi^-1[table[phi[x], phi[y]]]; a row holds it for x, y in `points` (an
     index into the elements), x major.  That is the table relabelled by
-    phi^-1, so the rows over all of Aut are its orbit.
+    phi^-1, so the rows over all of Aut are its orbit.  Both lookups are flat
+    gathers: the cells at phi[x] * n + phi[y] of the raveled table, then the
+    entries at cell + i * n of the raveled inverses for row i.
     """
     import numpy as np
 
-    phi = addgroup.automorphism_perms(typ)[autos][:, points]
+    n = len(table)
+    phi = addgroup.automorphism_perms(typ)[autos][:, points].astype(np.intp)
     inverses = addgroup.automorphism_inverses(typ)[autos]
-    cells = table[phi[:, :, None], phi[:, None, :]].reshape(len(phi), -1)
-    return inverses[np.arange(len(phi))[:, None], cells]
+    cells = table.ravel().take((phi * n)[:, :, None] + phi[:, None, :]).reshape(len(phi), -1)
+    return inverses.ravel().take(cells + np.arange(0, len(phi) * n, n)[:, None])
 
 
 @dataclass(frozen=True)

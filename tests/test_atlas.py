@@ -132,6 +132,43 @@ def test_graph_determinacy_report(atlas_by_order):
     )
 
 
+def test_rings_with_graph_matches_the_unfiltered_definition(atlas_by_order):
+    entries = [e for n in range(1, 10) for e in atlas_by_order[n]]
+    targets = {e.graph_certificate: e.graph for e in entries}
+    assert len(targets) > 1
+    for target, graph in targets.items():
+        got = atlas.rings_with_graph(9, graph, provider=atlas_by_order.__getitem__)
+        expected = [e for e in entries if e.graph_certificate == target]
+        assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
+
+def unfiltered_collisions(entries, identities):
+    """The determinacy report by its definition: every kept entry grouped by
+    graph certificate."""
+    kept = [e for e in entries if all(freealg.satisfies_identity(e.ring, p).ok for p in identities)]
+    by_graph = {}
+    for e in kept:
+        by_graph.setdefault(e.graph_certificate, []).append(e)
+    out = []
+    for gcert in sorted(by_graph):
+        group = sorted(by_graph[gcert], key=lambda e: e.certificate)
+        out += [(a, b) for i, a in enumerate(group) for b in group[i + 1:]
+                if a.certificate != b.certificate]
+    return out
+
+
+@pytest.mark.parametrize("identities, count", [
+    ([], 206), (["6x", "x^2y - xy"], 7), (["2x", "x^2"], 0),
+])
+def test_determinacy_report_matches_the_unfiltered_definition(atlas_by_order, identities, count):
+    entries = [e for n in range(1, 10) for e in atlas_by_order[n]]
+    polys = [freealg.parse(text) for text in identities]
+    got = atlas.graph_determinacy_report(entries, polys or None)
+    expected = unfiltered_collisions(entries, polys)
+    assert len(got) == len(expected) == count
+    assert all(a is c and b is d for (a, b), (c, d) in zip(got, expected))
+
+
 def test_determinacy_report_on_shared_graph_family():
     family = [
         rings.np2(2),

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from finring import addgroup, atlas, cli, rings, structure
@@ -51,6 +52,91 @@ def refuse(monkeypatch, module, name):
         raise AssertionError(f"{name} must not be called")
 
     monkeypatch.setattr(module, name, fail)
+
+
+def reference_aut_action(typ, table, autos, points):
+    """The action of Aut(typ) read with a 2-D broadcast index, then a
+    row-wise index into the inverses."""
+    phi = addgroup.automorphism_perms(typ)[autos][:, points]
+    inverses = addgroup.automorphism_inverses(typ)[autos]
+    cells = table[phi[:, :, None], phi[:, None, :]].reshape(len(phi), -1)
+    return inverses[np.arange(len(phi))[:, None], cells]
+
+
+def reference_canonical(ring):
+    """The certificate and basis with each block's least row taken by Python
+    min and list.index over the block's rows as bytes."""
+    typ = addgroup.additive_type(ring.add)
+    n = ring.order
+    perm0 = next(addgroup.iter_basis_perms(ring.add, typ))
+    table = np.frombuffer(bytes(structure._std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
+    autos = addgroup.automorphism_perms(typ)
+    width = n * n
+    step = max(1, structure._CERTIFICATE_BLOCK // width)
+    best = None
+    best_row = 0
+    for lo in range(0, len(autos), step):
+        flat = reference_aut_action(typ, table, slice(lo, lo + step), slice(None)).tobytes()
+        rows = [flat[i: i + width] for i in range(0, len(flat), width)]
+        cand = min(rows)
+        if best is None or cand < best:
+            best = cand
+            best_row = lo + rows.index(cand)
+    header = f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode()
+    return header + best, [perm0[x] for x in autos[best_row].tolist()]
+
+
+def minimal_blocks(ring):
+    """How many certificate blocks reach the least relabeled table."""
+    typ = addgroup.additive_type(ring.add)
+    n = ring.order
+    table = np.frombuffer(reference_canonical(ring)[0][-n * n:], dtype=np.uint8).reshape(n, n)
+    autos = addgroup.automorphism_perms(typ)
+    step = max(1, structure._CERTIFICATE_BLOCK // (n * n))
+    rows = reference_aut_action(typ, table, slice(None), slice(None))
+    least = (rows == rows[np.lexsort(rows.T[::-1])[0]]).all(axis=1)
+    return len({int(i) // step for i in np.flatnonzero(least)})
+
+
+def test_certificate_and_basis_match_the_reference_on_atlas(atlas_by_order):
+    rng = random.Random(23)
+    for n in range(1, 10):
+        for entry in atlas_by_order[n]:
+            for ring in (entry.ring, relabel(entry.ring, rng), relabel(entry.ring, rng)):
+                assert structure._canonical(ring) == reference_canonical(ring)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [rings.gf(2, 4), power(rings.zn(2), 4), rings.gf(3, 3)],
+    ids=["GF(16)", "Z2^4", "GF(27)"],
+)
+def test_certificate_and_basis_match_the_reference_across_blocks(ring):
+    typ = addgroup.additive_type(ring.add)
+    step = max(1, structure._CERTIFICATE_BLOCK // ring.order**2)
+    assert addgroup.automorphism_count(typ) > step
+    copy = relabel(ring, random.Random(29))
+    assert structure._canonical(copy) == reference_canonical(copy)
+
+
+def test_certificate_keeps_the_first_of_tied_blocks():
+    # Every block of the null ring on Z2^4 holds its least table, and the
+    # 24 ring automorphisms of Z2^4 spread its minimum over several blocks.
+    null = rings.make_ring(addgroup.std_group((2, 2, 2, 2)).add, [[0] * 16] * 16)
+    for ring in (null, relabel(power(rings.zn(2), 4), random.Random(31))):
+        assert minimal_blocks(ring) > 1
+        assert structure._canonical(ring) == reference_canonical(ring)
+
+
+def test_orbit_action_matches_the_reference(atlas_by_order):
+    samples = [e.ring for n in range(1, 10) for e in atlas_by_order[n]]
+    samples.append(structure._canonical_ring(structure.ring_canonical_certificate(rings.gf(2, 4))))
+    for ring in samples:
+        typ = addgroup.additive_type(ring.add)
+        gens = list(addgroup.std_group(typ).gens)
+        table = np.array(ring.mul, dtype=np.uint8)
+        got = structure._aut_action(typ, table, slice(None), gens)
+        assert np.array_equal(got, reference_aut_action(typ, table, slice(None), gens))
 
 
 def test_certificate_matches_brute_force_on_atlas(atlas_by_order):

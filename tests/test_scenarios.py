@@ -134,6 +134,30 @@ def test_scenarios_cover_public_surface(atlas_dir, tmp_path, monkeypatch):
     assert missing == []
 
 
+@pytest.mark.parametrize("name, counted, expected", [
+    ("cor1", (graphs, "canonical_form"), 5),
+    ("prop4-counterexample", (graphs, "canonical_form"), 11),
+    ("theorem3-shape", (structure, "structure_report"), 2),
+])
+def test_warm_scenarios_compute_only_deciding_graph_forms_and_reports(
+    atlas_dir, monkeypatch, name, counted, expected
+):
+    # Graph forms are computed only for entries whose graph size can match,
+    # and full reports only for the subdirectly irreducible survivors.
+    module, attr = counted
+    calls = []
+    original = getattr(module, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    result = scenarios.run(name, cache=scenarios.AtlasCache(str(atlas_dir)))
+    assert result.passed, result.lines
+    assert len(calls) == expected
+
+
 def test_scenarios_match_atlas_entries_by_certificate(atlas_dir, monkeypatch):
     # On a warm cache every atlas entry already holds its certificate, so no
     # scenario runs an isomorphism search on an entry's ring.
