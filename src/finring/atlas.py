@@ -39,7 +39,8 @@ SCAN_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class AtlasEntry:
-    """One class as an atlas file stores it; report, graph and graph form are computed on first read."""
+    """One class as an atlas file stores it; its report, zero-divisor graph and
+    graph form are computed on first read."""
 
     ring: FiniteRing
     certificate: bytes
@@ -313,7 +314,8 @@ def rings_with_graph(
     out = []
     for m in range(1, n_max + 1):
         out.extend(
-            e for e in provider(m) if _graph_size(e.graph) == size and e.graph_certificate == target
+            e for e in provider(m)
+            if _graph_size(e.graph) == size and e.graph_certificate == target
         )
     return out
 
