@@ -4,28 +4,30 @@ Strategy per prime-power order: for every abelian type of the additive
 group, scan the generator-product structure constants (each constrained to
 the subgroup its bilinear extension needs, listed once by `_allowed`),
 filtering by associativity on generator triples as soon as the involved
-products are fixed.  The first
-product e0*e0 takes only the least value of each orbit of Stab(e0), the
+products are fixed.  The first row e0*e0, ..., e0*e_{k-1} is kept only
+where it is the lexicographically least of its orbit under Stab(e0), the
 additive automorphisms fixing e0 (the first-level orbit pruning of McKay &
 Piperno, arXiv:1301.1493): relabelling by such an automorphism keeps a ring
-in its class and moves e0*e0 within its orbit, so every class meets a
-scanned value.  A scan job is an additive type with some of those values;
-one set of additive-automorphism orbits covers the whole job, so a job
-certifies each class it meets once.  The orbits are read with the same
-action of Aut(typ) that the certificate minimizes over, and each class is
-re-emitted from its canonical certificate by the decoder in `structure`,
-which makes the output independent of scan partitioning and worker count.  Composite orders are assembled from the
-prime-power parts, since a finite ring is the direct sum of its primary
-components.
+in its class and moves its first row within that orbit, so every class
+meets a kept row.  Such a row's e0*e0 is the least of its own orbit, and a
+scan job is an additive type with some of those first products; one set of
+additive-automorphism orbits covers the whole job, so a job certifies each
+class it meets once.  The orbits are read with the same action of Aut(typ)
+that the certificate minimizes over, and each class is re-emitted from its
+canonical certificate by the decoder in `structure`, which makes the output
+independent of scan partitioning and worker count.  Composite orders are
+assembled from the prime-power parts, since a finite ring is the direct sum
+of its primary components.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import addgroup, freealg, graphs, rings, structure
 from .errors import FormatError, OrderCapExceeded
@@ -143,7 +145,8 @@ def _allowed(typ: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Associative structure-constant assignments with the first product
-    restricted to `first_vals`, in lexicographic scan order."""
+    restricted to `first_vals` and the first row least in its Stab(e0)
+    orbit (`_first_row_least`), in lexicographic scan order."""
     import numpy as np
 
     k = len(typ)
@@ -166,6 +169,9 @@ def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tup
         ext[:, :t] = np.repeat(frontier, len(vals), axis=0)
         ext[:, t] = np.tile(vals, rows)
         frontier = ext
+        if t == k - 1 and k > 1:
+            # Positions 0..k-1 are the first row (0, 0), ..., (0, k-1).
+            frontier = frontier[_first_row_least(typ)[frontier @ _row_weights(typ)]]
         for (i, j, kk) in plan[t]:
             p_ij = frontier[:, index[(i, j)]]
             p_jk = frontier[:, index[(j, kk)]]
@@ -178,26 +184,68 @@ def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tup
             if len(frontier) == 0:
                 return []
     order_cols = [index[(i, j)] for i in range(k) for j in range(k)]
-    return [tuple(int(v) for v in row) for row in frontier[:, order_cols]]
+    return list(map(tuple, frontier[:, order_cols].tolist()))
+
+
+def _row_weights(typ: tuple[int, ...]):
+    """Weights n^(k-1), ..., n^0 that code a first row (v_0, ..., v_{k-1}) as
+    sum v_j n^(k-1-j); codes order as the rows do lexicographically."""
+    import numpy as np
+
+    n, k = math.prod(typ), len(typ)
+    return n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _first_row_least(typ: tuple[int, ...]):
+    """A read-only boolean lookup over first-row codes (`_row_weights`): true
+    where the allowed first row is the least of its orbit under Stab(e0).
+
+    A first row L determines e0*y = sum_t y_t L_t for every y with digits
+    y_t, an additive map since L_t is killed by gcd(m_0, m_t), which divides
+    the order m_t of e_t.  An
+    automorphism phi fixing e0 relabels a ring with first row L into one
+    with first row phi^-1[e0*phi(e_j)], j = 0..k-1, which depends on L and
+    phi alone and is again allowed.  So the allowed rows split into orbits,
+    and every class has a presentation whose first row is the least of its
+    orbit.  Its first entry phi^-1[e0*e0] is then least in its own orbit.
+    """
+    import numpy as np
+
+    group = addgroup.std_group(typ)
+    n, k = group.order, len(typ)
+    add_np, smul_np, dig_np = addgroup.std_arrays(typ)
+    autos = addgroup.automorphism_perms(typ)
+    fixes = autos[:, group.gens[0]] == group.gens[0]
+    images = autos[fixes][:, list(group.gens)]
+    inverses = addgroup.automorphism_inverses(typ)[fixes]
+    rows = np.array(list(itertools.product(*_allowed(typ)[:k])), dtype=np.int32)
+    # products[r, y] = e0*y under first row r.
+    products = np.zeros((len(rows), n), dtype=np.int32)
+    for t in range(k):
+        products = add_np[products, smul_np[dig_np[None, :, t], rows[:, t, None]]]
+    weights = _row_weights(typ)
+    codes = rows @ weights
+    least = codes.copy()
+    for image, inverse in zip(images, inverses):
+        np.minimum(least, inverse[products[:, image]] @ weights, out=least)
+    mask = np.zeros(n**k, dtype=bool)
+    mask[codes] = codes == least
+    mask.flags.writeable = False
+    return mask
 
 
 def _first_product_reps(typ: tuple[int, ...]) -> tuple[int, ...]:
-    """The least allowed value of e0*e0 in each orbit of Stab(e0).
+    """The least allowed value of e0*e0 in each orbit of Stab(e0), ascending.
 
-    An automorphism phi fixing e0 relabels a ring R into phi.R, whose first
-    product is phi(e0*e0), and phi.R lies in the class of R.  So every class
-    has a presentation whose first product is one of these values.
+    These are the first products of the rows that `_first_row_least` keeps:
+    a kept row's e0*e0 is least in its orbit, and for such a value v the
+    least row in the orbit of (v, 0, ..., 0) starts with v.
     """
-    autos = addgroup.automorphism_perms(typ)
-    e0 = addgroup.std_group(typ).gens[0]
-    stab = autos[autos[:, e0] == e0]
-    reps: list[int] = []
-    covered: set[int] = set()
-    for v in _allowed(typ)[0]:
-        if v not in covered:
-            reps.append(v)
-            covered.update(stab[:, v].tolist())
-    return tuple(reps)
+    import numpy as np
+
+    codes = np.flatnonzero(_first_row_least(typ))
+    return tuple(np.unique(codes // _row_weights(typ)[0]).tolist())
 
 
 def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[bytes]:
@@ -383,8 +431,10 @@ def save_atlas(entries: list[AtlasEntry], path) -> None:
 def load_atlas(path) -> list[AtlasEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != "atlas v1":
+    # Text mode turns \r\n into \n; split at \n alone, as parse_ringtab does,
+    # so a form feed or other Unicode line break inside a row stays in it.
+    lines = text.split("\n")
+    if lines[0] != "atlas v1":
         raise FormatError("missing 'atlas v1' magic line")
     try:
         order = int(lines[1].split()[1])

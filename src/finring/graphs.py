@@ -34,6 +34,16 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        # Each edge is stored once, as (a, b) with a < b: edge counts and
+        # the canonical form must agree.  `make_graph` normalizes any list.
+        for a, b in self.edges:
+            if not 0 <= a < b < self.vertex_count:
+                raise ValueError(
+                    f"edge ({a}, {b}) is not a normalized pair a < b of vertices "
+                    f"below {self.vertex_count}"
+                )
+
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:

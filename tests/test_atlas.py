@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from finring import addgroup, atlas, freealg, graphs, rings, structure
@@ -232,6 +234,26 @@ def test_atlas_load_errors(tmp_path, atlas_by_order):
         atlas.load_atlas(swapped)
 
 
+def test_atlas_rows_split_only_at_newlines(tmp_path, atlas_by_order):
+    # A form feed inside a row is whitespace, as parse_ringtab reads it;
+    # text mode reads \r\n and \r line ends as \n.
+    path = tmp_path / "atlas-2.txt"
+    atlas.save_atlas(atlas_by_order[2], path)
+    text = path.read_text(encoding="utf-8")
+    assert "add\n0 1\n" in text
+    variants = {
+        "form-feed": text.replace("add\n0 1\n", "add\n0\x0c1\n", 1),
+        "crlf": text.replace("\n", "\r\n"),
+        "cr": text.replace("\n", "\r"),
+    }
+    expected = [(e.certificate, e.ring.add, e.ring.mul) for e in atlas_by_order[2]]
+    for name, variant in variants.items():
+        variant_path = tmp_path / f"{name}.txt"
+        variant_path.write_bytes(variant.encode("utf-8"))
+        loaded = atlas.load_atlas(variant_path)
+        assert [(e.certificate, e.ring.add, e.ring.mul) for e in loaded] == expected, name
+
+
 def test_worker_count_invariance_small():
     one = atlas.enumerate_rings(6, workers=1)
     two = atlas.enumerate_rings(6, workers=2)
@@ -266,6 +288,88 @@ def test_representative_scan_matches_the_full_first_product_scan():
         assert len(whole) == len(set(whole)) == len(full), typ
 
 
+# Every type of orders 4, 8 and 9, and four more within the scan budget.
+FIRST_ROW_TYPES = [typ for n in (4, 8, 9) for typ in atlas.abelian_group_types(n)] + [
+    (4, 4), (8, 2), (9, 3), (4, 2, 2)
+]
+
+
+def _every_first_row(typ):
+    return np.ones(math.prod(typ) ** len(typ), dtype=bool)
+
+
+def test_first_row_pruning_keeps_every_class(monkeypatch):
+    # Oracle: the same jobs with every first row kept, which restrict e0*e0
+    # alone.  Over all first products, the Aut(typ) orbits of the pruned
+    # scan's tensors are exactly the tensors of the unpruned scan.
+    pruned = {}
+    for typ in FIRST_ROW_TYPES:
+        reps = atlas._first_product_reps(typ)
+        firsts = atlas._allowed(typ)[0]
+        pruned[typ] = reps, atlas._chunk_certificates((typ, reps)), atlas._scan_tensors(typ, firsts)
+    monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
+    for typ, (reps, certs, tensors) in pruned.items():
+        full = atlas._chunk_certificates((typ, reps))
+        assert len(certs) == len(set(certs)) and len(full) == len(set(full)), typ
+        assert set(certs) == set(full), typ
+        gens = list(addgroup.std_group(typ).gens)
+        orbits: set[tuple[int, ...]] = set()
+        for products in tensors:
+            table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
+            orbits.update(map(tuple, structure._aut_action(typ, table, slice(None), gens).tolist()))
+        unpruned = atlas._scan_tensors(typ, atlas._allowed(typ)[0])
+        assert orbits == set(unpruned), typ
+        if len(typ) > 1:
+            assert len(tensors) < len(unpruned), typ
+
+
+def test_first_row_mask_is_a_transversal_of_the_stab_orbits():
+    # Rows are relabelled here by a plain loop: under phi fixing e0 the first
+    # row L becomes phi^-1[e0*phi(e_j)], with e0*y = sum_t y_t L_t.
+    kept_counts = {}
+    for typ in FIRST_ROW_TYPES:
+        group = addgroup.std_group(typ)
+        n, k, e0 = group.order, len(typ), group.gens[0]
+        stab = [phi for phi in addgroup.automorphism_perms(typ).tolist() if phi[e0] == e0]
+
+        def relabel(row, phi):
+            inverse = {x: i for i, x in enumerate(phi)}
+            image = []
+            for g in group.gens:
+                acc = 0
+                for t in range(k):
+                    acc = group.add[acc][group.smul[group.digits[phi[g]][t]][row[t]]]
+                image.append(inverse[acc])
+            return tuple(image)
+
+        mask = atlas._first_row_least(typ)
+        assert mask.shape == (n**k,) and not mask.flags.writeable
+        code = {}
+        for row in itertools.product(*(group.annihilated_by(math.gcd(typ[0], m)) for m in typ)):
+            code[row] = sum(v * n ** (k - 1 - j) for j, v in enumerate(row))
+        seen: set[tuple[int, ...]] = set()
+        orbits = 0
+        for row in code:
+            if row in seen:
+                continue
+            orbit = {relabel(row, phi) for phi in stab}
+            assert row in orbit and orbit <= code.keys(), typ
+            assert [r for r in sorted(orbit) if mask[code[r]]] == [min(orbit)], (typ, row)
+            seen |= orbit
+            orbits += 1
+        assert int(mask.sum()) == orbits, typ
+        kept_counts[typ] = orbits
+        # The least e0*e0 of each Stab(e0) orbit, by the same loop.
+        least = [v for v in group.annihilated_by(typ[0]) if v == min(phi[v] for phi in stab)]
+        assert atlas._first_product_reps(typ) == tuple(least), typ
+    assert (kept_counts[(2, 2, 2)], kept_counts[(4, 2, 2)]) == (38, 84)
+    assert kept_counts[(3, 3)] == 21
+    assert atlas._first_product_reps((2, 2, 2)) == (0, 1, 4)
+    assert atlas._first_product_reps((3, 3)) == (0, 1, 3, 6)
+    assert atlas._first_product_reps((4, 2, 2)) == (0, 1, 4, 5, 8, 12)
+    assert atlas._first_product_reps((8,)) == tuple(range(8))
+
+
 def test_serial_build_certifies_each_class_once(monkeypatch):
     # Machine-independent counts of a serial build of orders 1..15: one
     # certificate per class of each prime-power part and per direct sum, and
@@ -283,12 +387,23 @@ def test_serial_build_certifies_each_class_once(monkeypatch):
 
     certificates = counting(structure, "ring_canonical_certificate")
     validations = counting(rings, "make_ring")
+    # Tensors the scan keeps, one first row per Stab(e0) orbit.
+    kept = []
+    scan = atlas._scan_tensors
+
+    def counted_scan(*args):
+        tensors = scan(*args)
+        kept.append(len(tensors))
+        return tensors
+
+    monkeypatch.setattr(atlas, "_scan_tensors", counted_scan)
     assert len(atlas.enumerate_rings(8)) == 52
     assert (len(certificates), len(validations)) == (52, 104)
     for n in range(1, 16):
         if n != 8:
             atlas.enumerate_rings(n, cap=15)
     assert (len(certificates), len(validations)) == (154, 270)
+    assert sum(kept) == 744
 
 
 def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):

@@ -232,6 +232,17 @@ def test_make_graph_validation():
         graphs.make_graph(2, [(0, 5)])
 
 
+def test_simple_graph_takes_only_normalized_edges():
+    # An edge stored in both orientations would count twice while the
+    # canonical form is K2's, and is_complete would miss the clique.
+    for edges in ({(0, 1), (1, 0)}, {(1, 0)}, {(0, 0)}, {(0, 2)}, {(-1, 1)}):
+        with pytest.raises(ValueError, match="is not a normalized pair"):
+            graphs.SimpleGraph(2, frozenset(edges))
+    k2 = graphs.SimpleGraph(2, frozenset({(0, 1)}))
+    assert k2 == graphs.make_graph(2, [(1, 0), (0, 1)]) == graphs.complete_graph(2)
+    assert graphs.is_complete(k2) == 2
+
+
 def test_pruned_search_matches_unpruned_on_atlas_graphs():
     for n in range(1, 16):
         for entry in atlas.enumerate_rings(n, cap=16):

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -484,10 +485,18 @@ def _tensor_loop(typ, products):
 
 
 def test_from_products_matches_the_per_entry_loop():
+    # The scan keeps one first row per Stab(e0) orbit; the Aut(typ) orbits of
+    # its tensors hold every associative tensor of the type, and each is fed.
     checked = 0
     for n in (2, 3, 4, 8, 9):
         for typ in atlas.abelian_group_types(n):
+            gens = list(addgroup.std_group(typ).gens)
+            tensors: set[tuple[int, ...]] = set()
             for products in atlas._scan_tensors(typ, tuple(range(n))):
+                table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
+                orbit = structure._aut_action(typ, table, slice(None), gens)
+                tensors.update(map(tuple, orbit.tolist()))
+            for products in sorted(tensors):
                 ring = rings.from_products(typ, products)
                 assert ring.mul == _tensor_loop(typ, products)
                 assert ring.add == addgroup.std_group(typ).add

@@ -9,6 +9,7 @@ for their names.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -118,10 +119,13 @@ def test_basis_perms_match_the_mults_closure(sample_rings):
         assert list(got) == list(want), ring.label
 
 
-def test_both_actions_give_one_orbit_set():
+def test_both_actions_give_one_orbit_set(monkeypatch):
     # phi . T relabels T by phi, and phi^-1 . T by phi^-1; over all of Aut the
     # two sets are equal, which is what the atlas's orbit dedup relies on.
-    # Every table the scan keeps over all first products is checked.
+    # Every associative tensor is checked: the scan keeps all first rows here.
+    monkeypatch.setattr(
+        atlas, "_first_row_least", lambda typ: np.ones(math.prod(typ) ** len(typ), dtype=bool)
+    )
     for n in (4, 8, 9):
         for typ in atlas.abelian_group_types(n):
             group = addgroup.std_group(typ)
