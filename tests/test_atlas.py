@@ -261,33 +261,6 @@ def test_worker_count_invariance_small():
     assert [e.ring.add for e in one] == [e.ring.add for e in two]
 
 
-def test_each_chunk_certifies_each_class_once():
-    # An orbit that misses a presentation certifies its class twice; one
-    # that overreaches drops a class, which the class counts catch.
-    for n in (4, 8, 9):
-        for typ in atlas.abelian_group_types(n):
-            group = addgroup.std_group(typ)
-            for v in group.annihilated_by(typ[0]):
-                certs = atlas._chunk_certificates((typ, (v,)))
-                assert len(certs) == len(set(certs)), (typ, v)
-
-
-def test_representative_scan_matches_the_full_first_product_scan():
-    # A class met at any first product e0*e0 is also met at the least value of
-    # its Stab(e0) orbit, so the representative jobs certify the same classes
-    # as the single-value chunks over every allowed e0*e0, each exactly once.
-    types = [typ for n in (4, 8, 9) for typ in atlas.abelian_group_types(n)]
-    for typ in types + [(4, 4), (9, 3)]:
-        full: set[bytes] = set()
-        for v in addgroup.std_group(typ).annihilated_by(typ[0]):
-            full.update(atlas._chunk_certificates((typ, (v,))))
-        reps = atlas._first_product_reps(typ)
-        strided = [c for i in (0, 1) for c in atlas._chunk_certificates((typ, reps[i::2]))]
-        whole = atlas._chunk_certificates((typ, reps))
-        assert set(strided) == set(whole) == full, typ
-        assert len(whole) == len(set(whole)) == len(full), typ
-
-
 # Every type of orders 4, 8 and 9, and four more within the scan budget.
 FIRST_ROW_TYPES = [typ for n in (4, 8, 9) for typ in atlas.abelian_group_types(n)] + [
     (4, 4), (8, 2), (9, 3), (4, 2, 2)
@@ -298,20 +271,51 @@ def _every_first_row(typ):
     return np.ones(math.prod(typ) ** len(typ), dtype=bool)
 
 
-def test_first_row_pruning_keeps_every_class(monkeypatch):
-    # Oracle: the same jobs with every first row kept, which restrict e0*e0
-    # alone.  Over all first products, the Aut(typ) orbits of the pruned
-    # scan's tensors are exactly the tensors of the unpruned scan.
+def test_each_chunk_certifies_each_class_once(monkeypatch):
+    # An orbit that misses a presentation certifies its class twice; one
+    # that overreaches drops a class, which the class counts catch.  Chunks
+    # are checked with the first-row pruning and without it.
+    for pruned in (True, False):
+        if not pruned:
+            monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
+        for n in (4, 8, 9):
+            for typ in atlas.abelian_group_types(n):
+                group = addgroup.std_group(typ)
+                for v in group.annihilated_by(typ[0]):
+                    certs = atlas._chunk_certificates((typ, (v,)))
+                    assert len(certs) == len(set(certs)), (typ, v, pruned)
+
+
+def test_representative_scan_matches_the_full_first_product_scan(monkeypatch):
+    # Oracle: the scan without first-row pruning, which restricts e0*e0
+    # alone.  A class met at any first row is also met at the least row of
+    # its Stab(e0) orbit, whose e0*e0 is the least of its own orbit, so the
+    # pruned representative jobs certify the same classes as the unpruned
+    # jobs and as unpruned single-value chunks over every allowed e0*e0,
+    # each exactly once.
     pruned = {}
     for typ in FIRST_ROW_TYPES:
         reps = atlas._first_product_reps(typ)
-        firsts = atlas._allowed(typ)[0]
-        pruned[typ] = reps, atlas._chunk_certificates((typ, reps)), atlas._scan_tensors(typ, firsts)
+        strided = [c for i in (0, 1) for c in atlas._chunk_certificates((typ, reps[i::2]))]
+        pruned[typ] = reps, strided, atlas._chunk_certificates((typ, reps))
     monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
-    for typ, (reps, certs, tensors) in pruned.items():
-        full = atlas._chunk_certificates((typ, reps))
-        assert len(certs) == len(set(certs)) and len(full) == len(set(full)), typ
-        assert set(certs) == set(full), typ
+    for typ, (reps, strided, whole) in pruned.items():
+        unpruned = atlas._chunk_certificates((typ, reps))
+        assert set(strided) == set(whole) == set(unpruned), typ
+        assert len(whole) == len(set(whole)) == len(unpruned) == len(set(unpruned)), typ
+        if typ not in ((8, 2), (4, 2, 2)):
+            full: set[bytes] = set()
+            for v in addgroup.std_group(typ).annihilated_by(typ[0]):
+                full.update(atlas._chunk_certificates((typ, (v,))))
+            assert full == set(whole), typ
+
+
+def test_first_row_pruning_covers_every_tensor(monkeypatch):
+    # Over all first products, the Aut(typ) orbits of the pruned scan's
+    # tensors are exactly the tensors of the unpruned scan.
+    pruned = {typ: atlas._scan_tensors(typ, atlas._allowed(typ)[0]) for typ in FIRST_ROW_TYPES}
+    monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
+    for typ, tensors in pruned.items():
         gens = list(addgroup.std_group(typ).gens)
         orbits: set[tuple[int, ...]] = set()
         for products in tensors:
