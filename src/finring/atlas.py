@@ -4,20 +4,20 @@ Strategy per prime-power order: for every abelian type of the additive
 group, scan the generator-product structure constants (each constrained to
 the subgroup its bilinear extension needs, listed once by `_allowed`),
 filtering by associativity on generator triples as soon as the involved
-products are fixed.  The first row e0*e0, ..., e0*e_{k-1} is kept only
-where it is the lexicographically least of its orbit under Stab(e0), the
-additive automorphisms fixing e0 (the first-level orbit pruning of McKay &
-Piperno, arXiv:1301.1493): relabelling by such an automorphism keeps a ring
-in its class and moves its first row within that orbit, so every class
-meets a kept row.  Such a row's e0*e0 is the least of its own orbit, and a
-scan job is an additive type with some of those first products; one set of
-additive-automorphism orbits covers the whole job, so a job certifies each
-class it meets once.  The orbits are read with the same action of Aut(typ)
-that the certificate minimizes over, and each class is re-emitted from its
-canonical certificate by the decoder in `structure`, which makes the output
-independent of scan partitioning and worker count.  Composite orders are
-assembled from the prime-power parts, since a finite ring is the direct sum
-of its primary components.
+products are fixed.  The scan starts from the first rows e0*e0, ...,
+e0*e_{k-1} that are lexicographically least in their orbit under Stab(e0),
+the additive automorphisms fixing e0 (`_first_rows`; the first-level orbit
+pruning of McKay & Piperno, arXiv:1301.1493): relabelling by such an
+automorphism keeps a ring in its class and moves its first row within that
+orbit, so every class meets a kept row.  A scan job is an additive type
+with some of those rows; one set of additive-automorphism orbits covers
+the whole job, so a job certifies each class it meets once.  The orbits
+are read with the same action of Aut(typ) that the certificate minimizes
+over, and each class is re-emitted from its canonical certificate by the
+decoder in `structure`, which makes the output independent of scan
+partitioning and worker count.  Composite orders are assembled from the
+prime-power parts, since a finite ring is the direct sum of its primary
+components.
 """
 
 from __future__ import annotations
@@ -137,41 +137,37 @@ def _schedule(k: int, positions: list[tuple[int, int]]) -> list[list[tuple[int, 
 
 def _allowed(typ: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The values each scan position may take: e_i*e_j is killed by
-    gcd(m_i, m_j), since both m_i*e_i and m_j*e_j are zero."""
+    gcd(m_i, m_j), since both m_i*e_i and m_j*e_j are zero.  The first k
+    positions are the first row (0, 0), ..., (0, k-1)."""
     group = addgroup.std_group(typ)
     positions = _scan_positions(len(typ))
     return [group.annihilated_by(math.gcd(typ[i], typ[j])) for (i, j) in positions]
 
 
-def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Associative structure-constant assignments with the first product
-    restricted to `first_vals` and the first row least in its Stab(e0)
-    orbit (`_first_row_least`), in lexicographic scan order."""
+def _scan_tensors(
+    typ: tuple[int, ...], first_rows: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, ...]]:
+    """Associative structure-constant assignments whose first row
+    (e0*e0, ..., e0*e_{k-1}) is one of `first_rows`, an (r, k) sequence of
+    allowed rows in ascending order, in lexicographic scan order."""
     import numpy as np
 
     k = len(typ)
-    if k == 0:
-        return [()]
     positions = _scan_positions(k)
     index = {pos: t for t, pos in enumerate(positions)}
     plan = _schedule(k, positions)
     allowed = _allowed(typ)
-    allowed[0] = tuple(v for v in allowed[0] if v in set(first_vals))
     add_np, smul_np, dig_np = addgroup.std_arrays(typ)
 
-    frontier = np.zeros((1, 0), dtype=np.int32)
-    for t, _pos in enumerate(positions):
-        vals = np.array(allowed[t], dtype=np.int32)
-        if len(vals) == 0:
-            return []
-        rows = len(frontier)
-        ext = np.empty((rows * len(vals), t + 1), dtype=np.int32)
-        ext[:, :t] = np.repeat(frontier, len(vals), axis=0)
-        ext[:, t] = np.tile(vals, rows)
-        frontier = ext
-        if t == k - 1 and k > 1:
-            # Positions 0..k-1 are the first row (0, 0), ..., (0, k-1).
-            frontier = frontier[_first_row_least(typ)[frontier @ _row_weights(typ)]]
+    frontier = np.array(first_rows, dtype=np.int32)
+    for t in range(len(positions)):
+        if t >= k:
+            vals = np.array(allowed[t], dtype=np.int32)
+            rows = len(frontier)
+            ext = np.empty((rows * len(vals), t + 1), dtype=np.int32)
+            ext[:, :t] = np.repeat(frontier, len(vals), axis=0)
+            ext[:, t] = np.tile(vals, rows)
+            frontier = ext
         for (i, j, kk) in plan[t]:
             p_ij = frontier[:, index[(i, j)]]
             p_jk = frontier[:, index[(j, kk)]]
@@ -187,28 +183,18 @@ def _scan_tensors(typ: tuple[int, ...], first_vals: tuple[int, ...]) -> list[tup
     return list(map(tuple, frontier[:, order_cols].tolist()))
 
 
-def _row_weights(typ: tuple[int, ...]):
-    """Weights n^(k-1), ..., n^0 that code a first row (v_0, ..., v_{k-1}) as
-    sum v_j n^(k-1-j); codes order as the rows do lexicographically."""
-    import numpy as np
-
-    n, k = math.prod(typ), len(typ)
-    return n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-
-
 @lru_cache(maxsize=None)
-def _first_row_least(typ: tuple[int, ...]):
-    """A read-only boolean lookup over first-row codes (`_row_weights`): true
-    where the allowed first row is the least of its orbit under Stab(e0).
+def _first_rows(typ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The allowed first rows (e0*e0, ..., e0*e_{k-1}) that are least in
+    their orbit under Stab(e0), ascending.
 
     A first row L determines e0*y = sum_t y_t L_t for every y with digits
     y_t, an additive map since L_t is killed by gcd(m_0, m_t), which divides
-    the order m_t of e_t.  An
-    automorphism phi fixing e0 relabels a ring with first row L into one
-    with first row phi^-1[e0*phi(e_j)], j = 0..k-1, which depends on L and
-    phi alone and is again allowed.  So the allowed rows split into orbits,
-    and every class has a presentation whose first row is the least of its
-    orbit.  Its first entry phi^-1[e0*e0] is then least in its own orbit.
+    the order m_t of e_t.  An automorphism phi fixing e0 relabels a ring
+    with first row L into one with first row phi^-1[e0*phi(e_j)],
+    j = 0..k-1, which depends on L and phi alone and is again allowed.  So
+    the allowed rows split into orbits, and every class has a presentation
+    whose first row is the least of its orbit.
     """
     import numpy as np
 
@@ -224,57 +210,41 @@ def _first_row_least(typ: tuple[int, ...]):
     products = np.zeros((len(rows), n), dtype=np.int32)
     for t in range(k):
         products = add_np[products, smul_np[dig_np[None, :, t], rows[:, t, None]]]
-    weights = _row_weights(typ)
+    # Codes sum v_j n^(k-1-j) order as the rows do lexicographically.
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     codes = rows @ weights
     least = codes.copy()
     for image, inverse in zip(images, inverses):
         np.minimum(least, inverse[products[:, image]] @ weights, out=least)
-    mask = np.zeros(n**k, dtype=bool)
-    mask[codes] = codes == least
-    mask.flags.writeable = False
-    return mask
+    return tuple(map(tuple, rows[codes == least].tolist()))
 
 
-def _first_product_reps(typ: tuple[int, ...]) -> tuple[int, ...]:
-    """The least allowed value of e0*e0 in each orbit of Stab(e0), ascending.
-
-    These are the first products of the rows that `_first_row_least` keeps:
-    a kept row's e0*e0 is least in its orbit, and for such a value v the
-    least row in the orbit of (v, 0, ..., 0) starts with v.
-    """
+def _chunk_certificates(job: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]) -> list[bytes]:
+    """Worker body: scan the job's first rows and return the certificates of
+    the classes first seen inside the job (one orbit-dedup set covers all
+    its rows)."""
     import numpy as np
 
-    codes = np.flatnonzero(_first_row_least(typ))
-    return tuple(np.unique(codes // _row_weights(typ)[0]).tolist())
-
-
-def _chunk_certificates(job: tuple[tuple[int, ...], tuple[int, ...]]) -> list[bytes]:
-    """Worker body: scan the job's first-product values one at a time and
-    return the certificates of the classes first seen inside the job (one
-    orbit-dedup set covers all its values)."""
-    import numpy as np
-
-    typ, first_vals = job
+    typ, first_rows = job
     gens = list(addgroup.std_group(typ).gens)
     seen: set[tuple[int, ...]] = set()
     certs: list[bytes] = []
-    for v in first_vals:
-        for products in _scan_tensors(typ, (v,)):
-            if products in seen:
-                continue
-            ring = rings.from_products(typ, products)
-            certs.append(structure.ring_canonical_certificate(ring))
-            # The generator products of every table in the ring's orbit.
-            table = np.array(ring.mul, dtype=np.uint8)
-            orbit = structure._aut_action(typ, table, slice(None), gens)
-            seen.update(map(tuple, orbit.tolist()))
+    for products in _scan_tensors(typ, first_rows):
+        if products in seen:
+            continue
+        ring = rings.from_products(typ, products)
+        certs.append(structure.ring_canonical_certificate(ring))
+        # The generator products of every table in the ring's orbit.
+        table = np.array(ring.mul, dtype=np.uint8)
+        orbit = structure._aut_action(typ, table, slice(None), gens)
+        seen.update(map(tuple, orbit.tolist()))
     return certs
 
 
 def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
     types = abelian_group_types(q, cap=cap)
     # Refuse before any automorphism group is built.  The space counts every
-    # first product, not only the representatives the scan takes.
+    # first row, not only the representatives the scan takes.
     for typ in types:
         space = math.prod(len(values) for values in _allowed(typ))
         if space > SCAN_BUDGET:
@@ -285,9 +255,9 @@ def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
     cpus = os.cpu_count() or 1
     jobs = []
     for typ in types:
-        reps = _first_product_reps(typ)
-        split = max(1, min(workers, len(reps), cpus))
-        jobs.extend((typ, reps[i::split]) for i in range(split))
+        first_rows = _first_rows(typ)
+        split = max(1, min(workers, len(first_rows), cpus))
+        jobs.extend((typ, first_rows[i::split]) for i in range(split))
     workers = min(workers, len(jobs), cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -437,10 +407,13 @@ def load_atlas(path) -> list[AtlasEntry]:
     if lines[0] != "atlas v1":
         raise FormatError("missing 'atlas v1' magic line")
     try:
-        order = int(lines[1].split()[1])
-        count = int(lines[2].split()[1])
+        order = int(lines[1].removeprefix("order "))
+        count = int(lines[2].removeprefix("count "))
     except (IndexError, ValueError):
         raise FormatError("bad atlas header") from None
+    # Only the lines save_atlas writes: int() alone takes "2 ", "+2" or "02".
+    if lines[1:3] != [f"order {order}", f"count {count}"] or min(order, count) < 0:
+        raise FormatError("bad atlas header")
     certs = []
     for i in range(count):
         try:

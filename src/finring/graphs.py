@@ -43,6 +43,8 @@ class SimpleGraph:
                     f"edge ({a}, {b}) is not a normalized pair a < b of vertices "
                     f"below {self.vertex_count}"
                 )
+        if self.labels is not None and len(self.labels) != self.vertex_count:
+            raise ValueError("label count must match vertex count")
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
@@ -67,11 +69,7 @@ def make_graph(
         if not (0 <= a < vertex_count and 0 <= b < vertex_count):
             raise ValueError(f"edge ({a}, {b}) out of range")
         normalized.add((min(a, b), max(a, b)))
-    lab = None
-    if labels is not None:
-        lab = tuple(labels)
-        if len(lab) != vertex_count:
-            raise ValueError("label count must match vertex count")
+    lab = None if labels is None else tuple(labels)
     return SimpleGraph(vertex_count, frozenset(normalized), lab)
 
 

@@ -234,6 +234,27 @@ def test_atlas_load_errors(tmp_path, atlas_by_order):
         atlas.load_atlas(swapped)
 
 
+def test_atlas_header_is_exactly_order_and_count(tmp_path, atlas_by_order):
+    path = tmp_path / "atlas-2.txt"
+    atlas.save_atlas(atlas_by_order[2], path)
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("atlas v1\norder 2\ncount 2\n")
+    for old, new in (
+        ("order 2", "ordr 2"),
+        ("count 2", "cnt 2"),
+        ("order 2", "order 2 junk"),
+        ("count 2", "count 2 junk"),
+        ("order 2", "order 02"),
+        ("order 2", "order"),
+        ("count 2", "count -1"),
+        ("order 2", "order -2"),
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(FormatError, match="^bad atlas header$"):
+            atlas.load_atlas(bad)
+
+
 def test_atlas_rows_split_only_at_newlines(tmp_path, atlas_by_order):
     # A form feed inside a row is whitespace, as parse_ringtab reads it;
     # text mode reads \r\n and \r line ends as \n.
@@ -268,60 +289,66 @@ FIRST_ROW_TYPES = [typ for n in (4, 8, 9) for typ in atlas.abelian_group_types(n
 
 
 def _every_first_row(typ):
-    return np.ones(math.prod(typ) ** len(typ), dtype=bool)
+    """The scan without first-row pruning: every allowed first row."""
+    return tuple(itertools.product(*atlas._allowed(typ)[: len(typ)]))
 
 
-def test_each_chunk_certifies_each_class_once(monkeypatch):
+def _by_first_product(rows):
+    """Rows grouped by e0*e0, the unit of a scan job before first rows."""
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for row in rows:
+        groups.setdefault(row[0], []).append(row)
+    return [tuple(group) for _, group in sorted(groups.items())]
+
+
+def test_each_chunk_certifies_each_class_once():
     # An orbit that misses a presentation certifies its class twice; one
     # that overreaches drops a class, which the class counts catch.  Chunks
-    # are checked with the first-row pruning and without it.
-    for pruned in (True, False):
-        if not pruned:
-            monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
-        for n in (4, 8, 9):
-            for typ in atlas.abelian_group_types(n):
-                group = addgroup.std_group(typ)
-                for v in group.annihilated_by(typ[0]):
-                    certs = atlas._chunk_certificates((typ, (v,)))
-                    assert len(certs) == len(set(certs)), (typ, v, pruned)
+    # of one e0*e0 value and of one first row are checked with the first-row
+    # pruning, and chunks of one e0*e0 value without it.
+    for n in (4, 8, 9):
+        for typ in atlas.abelian_group_types(n):
+            kept = atlas._first_rows(typ)
+            chunks = _by_first_product(kept) + [(row,) for row in kept]
+            chunks += _by_first_product(_every_first_row(typ))
+            for rows in chunks:
+                certs = atlas._chunk_certificates((typ, rows))
+                assert len(certs) == len(set(certs)), (typ, rows)
 
 
-def test_representative_scan_matches_the_full_first_product_scan(monkeypatch):
-    # Oracle: the scan without first-row pruning, which restricts e0*e0
-    # alone.  A class met at any first row is also met at the least row of
-    # its Stab(e0) orbit, whose e0*e0 is the least of its own orbit, so the
-    # pruned representative jobs certify the same classes as the unpruned
-    # jobs and as unpruned single-value chunks over every allowed e0*e0,
-    # each exactly once.
-    pruned = {}
+def test_representative_scan_matches_the_full_first_product_scan():
+    # Oracle: the scan without first-row pruning.  A class met at any first
+    # row is also met at the least row of its Stab(e0) orbit, so the kept
+    # rows certify the same classes as every allowed row with the same
+    # e0*e0 values, and as unpruned chunks of one e0*e0 value over every
+    # allowed e0*e0, each exactly once.
     for typ in FIRST_ROW_TYPES:
-        reps = atlas._first_product_reps(typ)
-        strided = [c for i in (0, 1) for c in atlas._chunk_certificates((typ, reps[i::2]))]
-        pruned[typ] = reps, strided, atlas._chunk_certificates((typ, reps))
-    monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
-    for typ, (reps, strided, whole) in pruned.items():
-        unpruned = atlas._chunk_certificates((typ, reps))
+        kept = atlas._first_rows(typ)
+        strided = [c for i in (0, 1) for c in atlas._chunk_certificates((typ, kept[i::2]))]
+        whole = atlas._chunk_certificates((typ, kept))
+        firsts = {row[0] for row in kept}
+        rows = tuple(row for row in _every_first_row(typ) if row[0] in firsts)
+        unpruned = atlas._chunk_certificates((typ, rows))
         assert set(strided) == set(whole) == set(unpruned), typ
         assert len(whole) == len(set(whole)) == len(unpruned) == len(set(unpruned)), typ
         if typ not in ((8, 2), (4, 2, 2)):
             full: set[bytes] = set()
-            for v in addgroup.std_group(typ).annihilated_by(typ[0]):
-                full.update(atlas._chunk_certificates((typ, (v,))))
+            for chunk in _by_first_product(_every_first_row(typ)):
+                full.update(atlas._chunk_certificates((typ, chunk)))
             assert full == set(whole), typ
 
 
-def test_first_row_pruning_covers_every_tensor(monkeypatch):
-    # Over all first products, the Aut(typ) orbits of the pruned scan's
-    # tensors are exactly the tensors of the unpruned scan.
-    pruned = {typ: atlas._scan_tensors(typ, atlas._allowed(typ)[0]) for typ in FIRST_ROW_TYPES}
-    monkeypatch.setattr(atlas, "_first_row_least", _every_first_row)
-    for typ, tensors in pruned.items():
+def test_first_row_pruning_covers_every_tensor():
+    # Over all first rows, the Aut(typ) orbits of the pruned scan's tensors
+    # are exactly the tensors of the unpruned scan.
+    for typ in FIRST_ROW_TYPES:
+        tensors = atlas._scan_tensors(typ, atlas._first_rows(typ))
         gens = list(addgroup.std_group(typ).gens)
         orbits: set[tuple[int, ...]] = set()
         for products in tensors:
             table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
             orbits.update(map(tuple, structure._aut_action(typ, table, slice(None), gens).tolist()))
-        unpruned = atlas._scan_tensors(typ, atlas._allowed(typ)[0])
+        unpruned = atlas._scan_tensors(typ, _every_first_row(typ))
         assert orbits == set(unpruned), typ
         if len(typ) > 1:
             assert len(tensors) < len(unpruned), typ
@@ -333,7 +360,7 @@ def test_first_row_mask_is_a_transversal_of_the_stab_orbits():
     kept_counts = {}
     for typ in FIRST_ROW_TYPES:
         group = addgroup.std_group(typ)
-        n, k, e0 = group.order, len(typ), group.gens[0]
+        k, e0 = len(typ), group.gens[0]
         stab = [phi for phi in addgroup.automorphism_perms(typ).tolist() if phi[e0] == e0]
 
         def relabel(row, phi):
@@ -346,32 +373,36 @@ def test_first_row_mask_is_a_transversal_of_the_stab_orbits():
                 image.append(inverse[acc])
             return tuple(image)
 
-        mask = atlas._first_row_least(typ)
-        assert mask.shape == (n**k,) and not mask.flags.writeable
-        code = {}
-        for row in itertools.product(*(group.annihilated_by(math.gcd(typ[0], m)) for m in typ)):
-            code[row] = sum(v * n ** (k - 1 - j) for j, v in enumerate(row))
+        first_rows = atlas._first_rows(typ)
+        assert first_rows == tuple(sorted(set(first_rows))), typ
+        assert all(type(row) is tuple for row in first_rows), typ
+        kept = set(first_rows)
+        allowed = set(itertools.product(*(group.annihilated_by(math.gcd(typ[0], m)) for m in typ)))
+        assert kept <= allowed, typ
         seen: set[tuple[int, ...]] = set()
         orbits = 0
-        for row in code:
+        for row in sorted(allowed):
             if row in seen:
                 continue
             orbit = {relabel(row, phi) for phi in stab}
-            assert row in orbit and orbit <= code.keys(), typ
-            assert [r for r in sorted(orbit) if mask[code[r]]] == [min(orbit)], (typ, row)
+            assert row in orbit and orbit <= allowed, typ
+            assert [r for r in sorted(orbit) if r in kept] == [min(orbit)], (typ, row)
             seen |= orbit
             orbits += 1
-        assert int(mask.sum()) == orbits, typ
+        assert len(kept) == orbits, typ
         kept_counts[typ] = orbits
         # The least e0*e0 of each Stab(e0) orbit, by the same loop.
         least = [v for v in group.annihilated_by(typ[0]) if v == min(phi[v] for phi in stab)]
-        assert atlas._first_product_reps(typ) == tuple(least), typ
+        assert sorted({row[0] for row in first_rows}) == least, typ
     assert (kept_counts[(2, 2, 2)], kept_counts[(4, 2, 2)]) == (38, 84)
     assert kept_counts[(3, 3)] == 21
-    assert atlas._first_product_reps((2, 2, 2)) == (0, 1, 4)
-    assert atlas._first_product_reps((3, 3)) == (0, 1, 3, 6)
-    assert atlas._first_product_reps((4, 2, 2)) == (0, 1, 4, 5, 8, 12)
-    assert atlas._first_product_reps((8,)) == tuple(range(8))
+    for typ, firsts in (
+        ((2, 2, 2), [0, 1, 4]),
+        ((3, 3), [0, 1, 3, 6]),
+        ((4, 2, 2), [0, 1, 4, 5, 8, 12]),
+        ((8,), list(range(8))),
+    ):
+        assert sorted({row[0] for row in atlas._first_rows(typ)}) == firsts, typ
 
 
 def test_serial_build_certifies_each_class_once(monkeypatch):
@@ -391,7 +422,8 @@ def test_serial_build_certifies_each_class_once(monkeypatch):
 
     certificates = counting(structure, "ring_canonical_certificate")
     validations = counting(rings, "make_ring")
-    # Tensors the scan keeps, one first row per Stab(e0) orbit.
+    # Tensors the scan keeps, one first row per Stab(e0) orbit, and one scan
+    # per job: each type of a serial build is one job.
     kept = []
     scan = atlas._scan_tensors
 
@@ -407,10 +439,12 @@ def test_serial_build_certifies_each_class_once(monkeypatch):
         if n != 8:
             atlas.enumerate_rings(n, cap=15)
     assert (len(certificates), len(validations)) == (154, 270)
-    assert sum(kept) == 744
+    assert (len(kept), sum(kept)) == (24, 744)
 
 
-def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run scan jobs in this process; returns the worker counts asked for."""
     pools = []
 
     class SerialPool:
@@ -426,18 +460,45 @@ def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    serial = atlas.enumerate_rings(4)
     monkeypatch.setattr(atlas, "ProcessPoolExecutor", SerialPool)
-    # Order 4 splits into seven scan jobs: one per first-product
-    # representative, four for (4) and three for (2, 2).
-    for cpus, expected in ((4, 4), (64, 7)):
+    return pools
+
+
+def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch, serial_pool):
+    serial = atlas.enumerate_rings(4)
+    # Order 4 splits into fourteen scan jobs, one per first row: four for
+    # (4) and ten for (2, 2).
+    for cpus, expected in ((4, 4), (64, 14)):
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: cpus)
         entries = atlas.enumerate_rings(4, workers=10**6)
-        assert pools[-1] == expected
+        assert serial_pool[-1] == expected
         assert [e.certificate for e in entries] == [e.certificate for e in serial]
     monkeypatch.setattr(atlas.os, "cpu_count", lambda: None)
     atlas.enumerate_rings(4, workers=10**6)
-    assert len(pools) == 2
+    assert len(serial_pool) == 2
+
+
+def test_one_job_per_first_row_matches_the_serial_build(monkeypatch, serial_pool):
+    # The finest partition: no type of orders 1..15 has more than 64 first
+    # rows, so every first row is its own job.
+    serial = {n: atlas.enumerate_rings(n, cap=15) for n in range(1, 16)}
+    jobs = []
+    chunk = atlas._chunk_certificates
+
+    def recorded_chunk(job):
+        jobs.append(job)
+        return chunk(job)
+
+    monkeypatch.setattr(atlas, "_chunk_certificates", recorded_chunk)
+    monkeypatch.setattr(atlas.os, "cpu_count", lambda: 64)
+    for n in range(1, 16):
+        entries = atlas.enumerate_rings(n, cap=15, workers=10**6)
+        assert [e.certificate for e in entries] == [e.certificate for e in serial[n]], n
+        assert [e.ring.mul for e in entries] == [e.ring.mul for e in serial[n]], n
+    assert {len(rows) for _, rows in jobs} == {1}
+    assert {(typ, rows[0]) for typ, rows in jobs} == {
+        (typ, row) for typ, _ in jobs for row in atlas._first_rows(typ)
+    }
 
 
 def test_worker_counts_below_one_build_serially():
@@ -450,7 +511,8 @@ def test_worker_counts_below_one_build_serially():
 def test_generator_presentation_products_respect_annihilators():
     typ = (4, 2)
     group = addgroup.std_group(typ)
-    tensors = atlas._scan_tensors(typ, group.annihilated_by(4))
+    tensors = atlas._scan_tensors(typ, _every_first_row(typ))
+    assert tensors
     for products in tensors:
         for i in range(2):
             for j in range(2):

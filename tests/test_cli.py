@@ -199,6 +199,14 @@ def test_atlas_query_refuses_a_file_that_is_not_the_atlas_of_its_order(tmp_path,
         assert err == f"error: {bad} does not hold the atlas of order 8\n"
 
 
+def test_atlas_query_refuses_a_bad_atlas_header(tmp_path, atlas_dir, capsys):
+    shutil.copy(atlas_dir / "atlas-2.txt", tmp_path)
+    bad = tmp_path / "atlas-2.txt"
+    bad.write_text(bad.read_text().replace("order 2", "ordr 2", 1))
+    argv = ["atlas", "query", "--graph", "K2", "--max-order", "2", "--atlas-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (2, "", "error: bad atlas header\n")
+
+
 def test_atlas_query_dot_file(tmp_path, atlas_dir, capsys):
     dot = tmp_path / "k1.dot"
     dot.write_text("graph {\n  0;\n}\n")

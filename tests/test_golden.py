@@ -1,8 +1,8 @@
 """Golden bytes: atlas files and verify output pinned by sha256.
 
 A change that promises the same answers must leave these hashes alone.  The
-atlas hashes cover the `save_atlas` bytes of orders 1..9 (certificates and
-ringtab blocks); the verify hashes cover the full stdout of each scenario
+atlas hashes cover the `save_atlas` bytes of orders 1..15 (certificates and
+ringtab blocks), order 12 also from a two-process build; the verify hashes cover the full stdout of each scenario
 run against the session atlas directory; the `ring info` hashes cover the
 report of family rings, the order-64 hashes cover the structure report and
 decomposition of null rings, and the corrupted tables pin the exact axiom and
@@ -34,6 +34,12 @@ ATLAS_SHA256 = {
     7: "e144ae138b31b4545f85abb475c4ffe82da492f5edd4648fd3a4691ce35e24a8",
     8: "e17b8eba69d96a9e19b1630aea4f1c67a1817282497a41158d9b1a51c0eae4c8",
     9: "be1923a483f0d2547a7a68b92e2194415a9e19a981bbffae08f10d6e4be421e9",
+    10: "afe3ff198742eacb7b59bccab456af8f3f61ed383a8bc044fe5768496e1a751f",
+    11: "faf13b77e6ec4e79f6181b05a0ee6acb74ead968f8653bee88954043417206cd",
+    12: "bcc1360b2568b01700b07e31b5a514ba03e174de0c968192e9dc6570c788138b",
+    13: "1229b4bf8a537601989747b1e05f441c6383012d2b52f645ee0def712c264d9a",
+    14: "2e40fc29c2c3858a4c87836241fcea5a0d9223c272c40e9bbe50e19ca93249f3",
+    15: "6d9326e08849bbfa45fcfbd38d5f9c0d081f64081db75c12797428004d7bab50",
 }
 
 VERIFY_SHA256 = {
@@ -49,10 +55,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("n", sorted(ATLAS_SHA256))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_atlas_file_bytes(atlas_dir, n):
     with open(os.path.join(atlas_dir, f"atlas-{n}.txt"), "rb") as fh:
         assert _sha256(fh.read()) == ATLAS_SHA256[n]
+
+
+def _built_atlas_bytes(tmp_path, n, workers=1):
+    path = tmp_path / f"atlas-{n}.txt"
+    atlas.save_atlas(atlas.enumerate_rings(n, cap=15, workers=workers), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", range(10, 16))
+def test_atlas_file_bytes_above_the_default_cap(tmp_path, n):
+    assert _sha256(_built_atlas_bytes(tmp_path, n)) == ATLAS_SHA256[n]
+
+
+def test_two_process_atlas_build_bytes(tmp_path, monkeypatch):
+    # Two CPUs, so that the build really runs its jobs in a pool of two.
+    monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
+    assert _sha256(_built_atlas_bytes(tmp_path, 12, workers=2)) == ATLAS_SHA256[12]
 
 
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)

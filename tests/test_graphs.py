@@ -243,6 +243,18 @@ def test_simple_graph_takes_only_normalized_edges():
     assert graphs.is_complete(k2) == 2
 
 
+def test_simple_graph_takes_one_label_per_vertex():
+    # export_dot names each vertex by its label, so a short tuple failed
+    # there with an IndexError.
+    for labels in (("a",), ("a", "b", "c", "d")):
+        with pytest.raises(ValueError, match="label count must match vertex count"):
+            graphs.SimpleGraph(3, frozenset({(0, 1)}), labels)
+        with pytest.raises(ValueError, match="label count must match vertex count"):
+            graphs.make_graph(3, [(0, 1)], labels)
+    labeled = graphs.SimpleGraph(3, frozenset({(0, 1)}), ("a", "b", "c"))
+    assert graphs.parse_dot(graphs.export_dot(labeled)) == labeled
+
+
 def test_pruned_search_matches_unpruned_on_atlas_graphs():
     for n in range(1, 16):
         for entry in atlas.enumerate_rings(n, cap=16):

@@ -492,7 +492,7 @@ def test_from_products_matches_the_per_entry_loop():
         for typ in atlas.abelian_group_types(n):
             gens = list(addgroup.std_group(typ).gens)
             tensors: set[tuple[int, ...]] = set()
-            for products in atlas._scan_tensors(typ, tuple(range(n))):
+            for products in atlas._scan_tensors(typ, atlas._first_rows(typ)):
                 table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
                 orbit = structure._aut_action(typ, table, slice(None), gens)
                 tensors.update(map(tuple, orbit.tolist()))
