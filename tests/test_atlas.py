@@ -294,11 +294,9 @@ def _every_first_row(typ):
 
 
 def _by_first_product(rows):
-    """Rows grouped by e0*e0, the unit of a scan job before first rows."""
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for row in rows:
-        groups.setdefault(row[0], []).append(row)
-    return [tuple(group) for _, group in sorted(groups.items())]
+    """Ascending rows grouped by e0*e0, the unit of a scan job before first
+    rows."""
+    return [tuple(group) for _, group in itertools.groupby(rows, key=lambda row: row[0])]
 
 
 def test_each_chunk_certifies_each_class_once():
