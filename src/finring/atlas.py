@@ -32,7 +32,6 @@ from functools import cached_property, lru_cache
 from . import addgroup, freealg, graphs, rings, structure
 from .errors import FormatError, OrderCapExceeded
 from .rings import FiniteRing
-from .structure import StructureReport
 
 DEFAULT_ENUMERATION_CAP = 9
 ENUMERATION_HARD_MAX = 16
@@ -41,15 +40,11 @@ SCAN_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class AtlasEntry:
-    """One class as an atlas file stores it; its report, zero-divisor graph and
-    graph form are computed on first read."""
+    """One class as an atlas file stores it; its zero-divisor graph and graph
+    form are computed on first read."""
 
     ring: FiniteRing
     certificate: bytes
-
-    @cached_property
-    def report(self) -> StructureReport:
-        return structure.structure_report(self.ring)
 
     @cached_property
     def graph(self) -> graphs.SimpleGraph:
@@ -379,14 +374,20 @@ def graph_determinacy_report(
 #   atlas v1
 #   order <n>
 #   count <k>
-#   <k certificate lines, lowercase hex>
+#   <k certificate lines, lowercase hex, strictly ascending>
 #   <blank line, then k ringtab blocks separated by blank lines>
+
+
+def _strictly_ascending(certs: list[bytes]) -> bool:
+    return all(a < b for a, b in zip(certs, certs[1:]))
 
 
 def save_atlas(entries: list[AtlasEntry], path) -> None:
     orders = {e.ring.order for e in entries}
     if len(orders) > 1:
         raise ValueError("an atlas file holds entries of a single order")
+    if not _strictly_ascending([e.certificate for e in entries]):
+        raise ValueError("an atlas file holds each class once, by ascending certificate")
     order = orders.pop() if orders else 0
     lines = ["atlas v1", f"order {order}", f"count {len(entries)}"]
     lines.extend(e.certificate.hex() for e in entries)
@@ -420,6 +421,8 @@ def load_atlas(path) -> list[AtlasEntry]:
             certs.append(bytes.fromhex(lines[3 + i]))
         except (IndexError, ValueError):
             raise FormatError(f"bad certificate line {3 + i + 1}") from None
+    if not _strictly_ascending(certs):
+        raise FormatError("certificate lines are not strictly ascending")
     body = "\n".join(lines[3 + count :])
     blocks = [b for b in body.split("\n\n") if b.strip()]
     if len(blocks) != count:

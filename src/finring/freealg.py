@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -145,18 +144,6 @@ def _check_bits(bits: int) -> None:
 
 def variable(i: int) -> NcPoly:
     return NcPoly({(i,): 1})
-
-
-def add(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p + q
-
-
-def mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p * q
-
-
-def scale(c: int, p: NcPoly) -> NcPoly:
-    return c * p
 
 
 # --- text grammar -------------------------------------------------------------
@@ -429,23 +416,16 @@ def _linear_variables(p: NcPoly) -> set[int]:
 
 
 def satisfies_identity(
-    ring: FiniteRing,
-    p: NcPoly,
-    *,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    sample: int | None = None,
-    seed: int = 0,
+    ring: FiniteRing, p: NcPoly, *, budget: int = DEFAULT_EVAL_BUDGET
 ) -> IdentityCheck:
     """Test whether p vanishes under every assignment.
 
     p is additive in each variable that occurs exactly once in every word, so
     it vanishes on the whole ring iff it does with those variables ranging
-    over the generators of (R, +) and the others over all of R.  A failure
-    reports the least counterexample in lexicographic order.  When the
-    assignments of that reduced scan would exceed `budget`, the call raises
-    BudgetExceeded unless `sample` asks for that many seeded random
-    assignments instead (in which case a reported counterexample is real but
-    not necessarily least).
+    over the generators of (R, +) and the others over all of R.  A pass is
+    a proof, and a failure reports the least counterexample in lexicographic
+    order.  When the assignments of that reduced scan would exceed `budget`,
+    the call raises BudgetExceeded before evaluating any.
     """
     vars_ = p.variables()
     gens = generators(ring.add)
@@ -453,16 +433,7 @@ def satisfies_identity(
     ranges = [gens if v in linear else range(ring.order) for v in vars_]
     total = math.prod(len(r) for r in ranges)
     if total > budget:
-        if sample is None:
-            raise BudgetExceeded(
-                f"{total} assignments exceed the budget of {budget}"
-            )
-        rng = random.Random(seed)
-        for _ in range(sample):
-            assignment = {v: rng.randrange(ring.order) for v in vars_}
-            if evaluate(p, ring, assignment) != 0:
-                return IdentityCheck(False, assignment)
-        return IdentityCheck(True)
+        raise BudgetExceeded(f"{total} assignments exceed the budget of {budget}")
     # The scan runs in lexicographic order with the generators ascending, and
     # its first failure is the least counterexample.  Fix the variables before
     # a linear one at their values there, and say it has value g: every a < g
@@ -483,7 +454,9 @@ def format_assignment(assignment: Mapping[int, int]) -> str:
 def parse_suite(text: str) -> list[tuple[str, NcPoly]]:
     """One polynomial per line; '#' lines and blanks are skipped."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Split at \n alone, as parse_ringtab does: text mode already reads \r\n
+    # and \r as \n, and a form feed inside a line stays in it.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -93,8 +93,8 @@ def test_criterion_4_identity_suites():
 
 def test_criterion_5_substitution_regression():
     f = freealg.parse("x + x^2")
-    doubled = freealg.substitute(f, {1: freealg.scale(2, freealg.variable(1))})
-    derived = freealg.add(freealg.scale(4, f), freealg.scale(-1, doubled))
+    doubled = freealg.substitute(f, {1: 2 * freealg.variable(1)})
+    derived = 4 * f + -1 * doubled
     _report("5 (4f(x) - f(2x) = 2x exactly)", derived == freealg.parse("2x"))
 
 

@@ -225,12 +225,18 @@ def test_atlas_load_errors(tmp_path, atlas_by_order):
     corrupted.write_text("\n".join(lines) + "\n")
     with pytest.raises((AxiomViolation, FormatError)):
         atlas.load_atlas(corrupted)
-    # tampering with a certificate line is caught by recomputation
+    # swapped certificate lines are out of order
     swapped = tmp_path / "s.txt"
     swap = text.splitlines()
     swap[3], swap[4] = swap[4], swap[3]
     swapped.write_text("\n".join(swap) + "\n")
     with pytest.raises(FormatError):
+        atlas.load_atlas(swapped)
+    # swapped ringtab blocks are caught by recomputation
+    blocks = text.split("\n\n")
+    blocks[1], blocks[2] = blocks[2], blocks[1]
+    swapped.write_text("\n\n".join(blocks))
+    with pytest.raises(FormatError, match="^stored certificate does not match its ring$"):
         atlas.load_atlas(swapped)
 
 
@@ -253,6 +259,34 @@ def test_atlas_header_is_exactly_order_and_count(tmp_path, atlas_by_order):
         bad.write_text(text.replace(old, new, 1), encoding="utf-8")
         with pytest.raises(FormatError, match="^bad atlas header$"):
             atlas.load_atlas(bad)
+
+
+def atlas_text(entries):
+    """An atlas file in save_atlas's layout, written without its checks."""
+    lines = ["atlas v1", f"order {entries[0].ring.order}", f"count {len(entries)}"]
+    lines.extend(e.certificate.hex() for e in entries)
+    return "\n".join(lines) + "\n\n" + "\n".join(rings.format_ringtab(e.ring) for e in entries)
+
+
+def test_atlas_lists_each_class_once_by_ascending_certificate(tmp_path, atlas_by_order):
+    entries = atlas_by_order[4]
+    path = tmp_path / "atlas-4.txt"
+    atlas.save_atlas(entries, path)
+    assert path.read_text(encoding="utf-8") == atlas_text(entries)
+    bad = tmp_path / "bad.txt"
+    for listed in ([entries[1], entries[1]], entries[::-1], entries[:3] + entries[2:]):
+        with pytest.raises(ValueError, match="^an atlas file holds each class once"):
+            atlas.save_atlas(listed, bad)
+        assert not bad.exists()
+        bad.write_text(atlas_text(listed), encoding="utf-8")
+        with pytest.raises(FormatError, match="^certificate lines are not strictly ascending$"):
+            atlas.load_atlas(bad)
+        bad.unlink()
+    # A file with only some of the classes, in order, is not detectable
+    # without the class counts, and still loads.
+    subset = tmp_path / "subset.txt"
+    subset.write_text(atlas_text(entries[::3]), encoding="utf-8")
+    assert [e.certificate for e in atlas.load_atlas(subset)] == [e.certificate for e in entries[::3]]
 
 
 def test_atlas_rows_split_only_at_newlines(tmp_path, atlas_by_order):
@@ -538,16 +572,13 @@ def test_entries_store_only_ring_and_certificate(tmp_path, monkeypatch, atlas_by
 def test_entry_invariants_match_direct_computation(atlas_by_order):
     for entries in atlas_by_order.values():
         for entry in entries:
-            assert entry.report == structure.structure_report(entry.ring)
             graph = graphs.zero_divisor_graph(entry.ring)
             assert entry.graph_certificate == graphs.canonical_form(graph)
 
 
 def test_entry_invariants_are_computed_once(monkeypatch):
     entry = atlas.make_entry(rings.zn(6))
-    report, graph_certificate = entry.report, entry.graph_certificate
-    monkeypatch.setattr(structure, "structure_report", _refuse)
+    graph_certificate = entry.graph_certificate
     monkeypatch.setattr(graphs, "zero_divisor_graph", _refuse)
     monkeypatch.setattr(graphs, "canonical_form", _refuse)
-    assert entry.report is report
     assert entry.graph_certificate is graph_certificate

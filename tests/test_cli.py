@@ -8,6 +8,8 @@ import pytest
 from finring import atlas, cli, freealg, graphs, rings, structure
 from finring.errors import FinringError
 
+from test_atlas import atlas_text
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -205,6 +207,14 @@ def test_atlas_query_refuses_a_bad_atlas_header(tmp_path, atlas_dir, capsys):
     bad.write_text(bad.read_text().replace("order 2", "ordr 2", 1))
     argv = ["atlas", "query", "--graph", "K2", "--max-order", "2", "--atlas-dir", str(tmp_path)]
     assert run_cli(argv, capsys) == (2, "", "error: bad atlas header\n")
+
+
+def test_atlas_query_refuses_an_atlas_that_lists_a_class_twice(tmp_path, atlas_dir, capsys):
+    shutil.copy(atlas_dir / "atlas-1.txt", tmp_path)
+    entry = atlas.load_atlas(atlas_dir / "atlas-2.txt")[1]
+    (tmp_path / "atlas-2.txt").write_text(atlas_text([entry, entry]), encoding="utf-8")
+    argv = ["atlas", "query", "--graph", "K0", "--max-order", "2", "--atlas-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (2, "", "error: certificate lines are not strictly ascending\n")
 
 
 def test_atlas_query_dot_file(tmp_path, atlas_dir, capsys):

@@ -66,20 +66,20 @@ def test_only_decimal_digits_are_numbers(tmp_path):
 
 def test_arithmetic_examples():
     x, y = fa.variable(1), fa.variable(2)
-    assert fa.mul(x, y) != fa.mul(y, x)
+    assert x * y != y * x
     p = fa.parse("2x + xy")
-    assert fa.add(p, fa.scale(-1, p)).is_zero
-    assert fa.mul(fa.add(x, y), x) == fa.parse("x^2 + yx")
+    assert (p + -1 * p).is_zero
+    assert (x + y) * x == fa.parse("x^2 + yx")
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)
 def test_ring_axioms_of_free_ring(p, q, r):
-    assert fa.add(p, q) == fa.add(q, p)
-    assert fa.add(fa.add(p, q), r) == fa.add(p, fa.add(q, r))
-    assert fa.mul(fa.mul(p, q), r) == fa.mul(p, fa.mul(q, r))
-    assert fa.mul(p, fa.add(q, r)) == fa.add(fa.mul(p, q), fa.mul(p, r))
-    assert fa.mul(fa.add(p, q), r) == fa.add(fa.mul(p, r), fa.mul(q, r))
+    assert p + q == q + p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,8 +97,8 @@ def test_render_ordering():
 
 def test_substitute_examples():
     f = fa.parse("x + x^2")
-    doubled = fa.substitute(f, {1: fa.scale(2, fa.variable(1))})
-    derived = fa.add(fa.scale(4, f), fa.scale(-1, doubled))
+    doubled = fa.substitute(f, {1: 2 * fa.variable(1)})
+    derived = 4 * f + -1 * doubled
     assert derived == fa.parse("2x")
     assert fa.substitute(fa.parse("xy"), {1: fa.variable(1), 2: fa.variable(1)}) == fa.parse("x^2")
     killed = fa.substitute(fa.parse("xy + y"), {1: fa.ZERO, 2: fa.variable(2)})
@@ -111,12 +111,12 @@ def test_collapse_chain_degree_three():
     # f = kx + a2 x^2 + a3 x^3 collapses to (2^3-2)(2^2-2) k x
     k, a2, a3 = 2, 1, -1
     x = fa.variable(1)
-    f = fa.add(fa.scale(k, x), fa.add(fa.scale(a2, fa.parse("x^2")), fa.scale(a3, fa.parse("x^3"))))
-    double = {1: fa.scale(2, x)}
-    g = fa.add(fa.scale(8, f), fa.scale(-1, fa.substitute(f, double)))
+    f = k * x + (a2 * fa.parse("x^2") + a3 * fa.parse("x^3"))
+    double = {1: 2 * x}
+    g = 8 * f + -1 * fa.substitute(f, double)
     assert max(len(w) for w in g.terms) <= 2
-    h = fa.add(fa.scale(4, g), fa.scale(-1, fa.substitute(g, double)))
-    assert h == fa.scale((8 - 2) * (4 - 2) * k, x)
+    h = 4 * g + -1 * fa.substitute(g, double)
+    assert h == (8 - 2) * (4 - 2) * k * x
 
 
 def test_lower_degree():
@@ -127,7 +127,7 @@ def test_lower_degree():
     # hypothesis-style shape check used in the degree arguments:
     # subtracting the low term leaves something of lower degree > 2
     f = fa.parse("xy + x^2y^2 + xyx^2")
-    assert fa.lower_degree(fa.add(f, fa.scale(-1, fa.parse("xy")))) > 2
+    assert fa.lower_degree(f + -1 * fa.parse("xy")) > 2
 
 
 def test_essentially_depends():
@@ -155,8 +155,8 @@ def test_evaluate_is_homomorphic(p, q, which, data):
     assignment = {v: data.draw(st.integers(0, ring.order - 1)) for v in (1, 2, 3)}
     ep = fa.evaluate(p, ring, assignment)
     eq = fa.evaluate(q, ring, assignment)
-    assert fa.evaluate(fa.add(p, q), ring, assignment) == ring.add[ep][eq]
-    assert fa.evaluate(fa.mul(p, q), ring, assignment) == ring.mul[ep][eq]
+    assert fa.evaluate(p + q, ring, assignment) == ring.add[ep][eq]
+    assert fa.evaluate(p * q, ring, assignment) == ring.mul[ep][eq]
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,13 +219,6 @@ def test_budget_and_sampling():
     wide = fa.parse("x1^2x2^2x3^2x4^2x5^2x6^2x7^2x8^2x9^2")
     with pytest.raises(BudgetExceeded):
         fa.satisfies_identity(ring, wide)
-    # seeded sampling is deterministic and finds a real counterexample here
-    result = fa.satisfies_identity(ring, wide, sample=2000, seed=3)
-    assert not result.ok
-    assert fa.evaluate(wide, ring, result.counterexample) != 0
-    # a null ring satisfies the identity, so sampling reports success
-    null = rings.n0(2, 3)
-    assert fa.satisfies_identity(null, wide, budget=10, sample=50).ok
 
 
 def test_suite_parsing(tmp_path):
@@ -238,6 +231,18 @@ def test_suite_parsing(tmp_path):
     with pytest.raises(ParseError) as exc:
         fa.load_suite(bad)
     assert "line 2" in str(exc.value)
+
+
+def test_suite_lines_split_only_at_newlines(tmp_path):
+    # A form feed inside a line is whitespace, as in a ringtab row; text
+    # mode reads \r\n and \r line ends as \n.
+    assert fa.parse_suite("x\x0c+ x\n") == [("x\x0c+ x", fa.parse("2x"))]
+    with pytest.raises(ParseError, match="^line 2: expected a term, found '\\+'"):
+        fa.parse_suite("xy\n\x0c+ x\n")
+    for name, text in (("crlf", "# c\r\nxyz\r\n\r\n4x\r\n"), ("cr", "# c\rxyz\r\r4x\r")):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert [src for src, _ in fa.load_suite(path)] == ["xyz", "4x"], name
 
 
 def test_power_squares_and_multiplies(monkeypatch):
@@ -291,7 +296,7 @@ def test_coefficient_bound():
         with pytest.raises(BudgetExceeded):
             fa.parse(text)
     with pytest.raises(BudgetExceeded):
-        fa.scale(2 ** limit, fa.variable(1))
+        2 ** limit * fa.variable(1)
 
 
 def _nested_commutator(depth):

@@ -225,6 +225,16 @@ def test_parse_dot_errors():
         graphs.parse_dot("graph {\n  5;\n}\n")
 
 
+def test_dot_lines_split_only_at_newlines():
+    # A form feed inside a statement is whitespace, and another Unicode line
+    # break inside a label stays in it; text mode reads \r\n as \n.
+    path = graphs.make_graph(2, [(0, 1)])
+    assert graphs.parse_dot("graph {\n  0;\n  1;\n  0 --\x0c 1;\n}\n") == path
+    assert graphs.parse_dot("graph {\r\n  0;\r\n  1;\r\n  0 -- 1;\r\n}\r\n") == path
+    labeled = graphs.make_graph(2, [(0, 1)], ("a\x1cb", "c\x85d"))
+    assert graphs.parse_dot(graphs.export_dot(labeled)) == labeled
+
+
 def test_make_graph_validation():
     with pytest.raises(ValueError):
         graphs.make_graph(2, [(0, 0)])

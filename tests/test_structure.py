@@ -163,7 +163,7 @@ def test_report_text_golden():
 def test_report_flag_consistency(atlas_by_order):
     for n, entries in atlas_by_order.items():
         for entry in entries:
-            rep = entry.report
+            rep = structure.structure_report(entry.ring)
             if rep.is_field:
                 assert rep.zero_divisor_count == 0
             if rep.is_nilpotent is not None and rep.order > 1:
