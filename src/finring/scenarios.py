@@ -2,8 +2,7 @@
 
 Each scenario rebuilds one of the library's headline checkable claims from
 scratch and reports a structured pass/fail with human-readable detail lines.
-They are deterministic and exercise the public surface between them, all
-but `rings.characteristic`, which only the structure report reads.
+They are deterministic and exercise the full public surface between them.
 """
 
 from __future__ import annotations
@@ -257,6 +256,7 @@ def theorem3_shape(cache: AtlasCache) -> ScenarioResult:
         lines,
         len(z2_entries) == 1
         and structure.is_field(z2_entries[0].ring)
+        and rings.characteristic(z2_entries[0].ring) == 2
         and structure.is_subdirectly_irreducible(z2_entries[0].ring),
         "the field GF(2) appears in the atlas and is subdirectly irreducible",
     )

@@ -1,18 +1,8 @@
 import os
-import warnings
 
 import pytest
 
 from finring import atlas
-
-# Hypothesis imports this module when a @given test fails, to print a patch;
-# it pulls in libcst, whose import raises a DeprecationWarning that the
-# "error" filter would turn into an INTERNALERROR ending the whole run.
-# Importing it here, with that warning ignored, keeps failures reportable
-# while every warning raised by finring or by a test stays an error.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

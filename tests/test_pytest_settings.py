@@ -23,8 +23,9 @@ def test_passes():
 
 
 def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
-    # Under filterwarnings = ["error"], a failing @given test must count as
-    # one failure and leave the rest of the run going.
+    # Under the repo's pytest settings (every warning an error), a failing
+    # @given test must count as one failure and leave the rest of the run
+    # going: Hypothesis's failure report imports libcst, which warns.
     (tmp_path / "tests").mkdir()
     shutil.copy(ROOT / "pyproject.toml", tmp_path)
     shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "tests")

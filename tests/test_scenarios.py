@@ -89,9 +89,7 @@ def test_unknown_scenario():
 
 def test_scenarios_cover_public_surface(atlas_dir, tmp_path, monkeypatch):
     # the five scenarios, run together against a cache that is missing one
-    # order, must touch every public operation of the library but one:
-    # rings.characteristic, which only the structure report reads and no
-    # scenario builds a report (tests/test_rings.py checks it directly)
+    # order, must touch every public operation of the library
     counts: dict[str, int] = {}
 
     def wrap(module, name):
@@ -130,7 +128,7 @@ def test_scenarios_cover_public_surface(atlas_dir, tmp_path, monkeypatch):
         for name in names
         if counts.get(name, 0) == 0
     ]
-    assert missing == ["characteristic"]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name, counted, expected", [
