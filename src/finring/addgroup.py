@@ -96,13 +96,6 @@ def generators(add: Sequence[Sequence[int]]) -> list[int]:
     return span(add, range(len(add)))[0]
 
 
-def _scalar(add: Sequence[Sequence[int]], c: int, x: int) -> int:
-    acc = 0
-    for _ in range(c):
-        acc = add[acc][x]
-    return acc
-
-
 def additive_type(add: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant cyclic decomposition: prime-power orders, sorted descending.
 
@@ -112,12 +105,14 @@ def additive_type(add: Sequence[Sequence[int]]) -> tuple[int, ...]:
     n = len(add)
     typ: list[int] = []
     for p in prime_factors(n):
-        pmul = [_scalar(add, p, x) for x in range(n)]
+        pmul = [0] * n
+        for _ in range(p):
+            pmul = [add[v][x] for x, v in enumerate(pmul)]
         sizes = [1]
         action = list(range(n))
         while True:
             action = [pmul[v] for v in action]
-            killed = sum(1 for x in range(n) if action[x] == 0)
+            killed = action.count(0)
             if killed == sizes[-1]:
                 break
             sizes.append(killed)

@@ -36,6 +36,9 @@ from .rings import FiniteRing
 DEFAULT_ENUMERATION_CAP = 9
 ENUMERATION_HARD_MAX = 16
 SCAN_BUDGET = 1 << 30
+# Rings of order 1, 2, ..., 31 up to isomorphism: OEIS A027623.
+CLASS_COUNTS = (1, 2, 2, 11, 2, 4, 2, 52, 11, 4, 2, 22, 2, 4, 4, 390, 2, 22, 2, 22, 4, 4, 2,
+                104, 11, 4, 59, 22, 2, 8, 2)
 
 
 @dataclass(frozen=True)
@@ -400,6 +403,11 @@ def save_atlas(entries: list[AtlasEntry], path) -> None:
 
 
 def load_atlas(path) -> list[AtlasEntry]:
+    """The entries of an atlas file, each checked as one batch: the ringtab
+    blocks are read as one stack of tables, validated with one axiom check
+    and re-certified together.  A faulty file raises the error of its first
+    faulty entry, from the first check it fails: reading, the axioms, the
+    order, then the stored certificate."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # Text mode turns \r\n into \n; split at \n alone, as parse_ringtab does,
@@ -423,17 +431,33 @@ def load_atlas(path) -> list[AtlasEntry]:
             raise FormatError(f"bad certificate line {3 + i + 1}") from None
     if not _strictly_ascending(certs):
         raise FormatError("certificate lines are not strictly ascending")
+    # An empty file, as save_atlas([]) writes, has order 0.
+    if order > len(CLASS_COUNTS):
+        raise FormatError(f"no class count is known for order {order}")
+    expected = CLASS_COUNTS[order - 1] if order else 0
+    if count != expected:
+        raise FormatError(f"an atlas of order {order} lists {expected} classes, not {count}")
     body = "\n".join(lines[3 + count :])
     blocks = [b for b in body.split("\n\n") if b.strip()]
     if len(blocks) != count:
         raise FormatError(f"expected {count} ringtab blocks, found {len(blocks)}")
-    entries = []
-    for cert, block in zip(certs, blocks):
-        ring = rings.parse_ringtab(block)
-        if ring.order != order:
-            raise FormatError(f"entry order {ring.order} does not match header {order}")
-        recomputed = structure.ring_canonical_certificate(ring)
-        if recomputed != cert:
-            raise FormatError("stored certificate does not match its ring")
-        entries.append(make_entry(ring, certificate=cert))
+    if not count:
+        return []
+    labels, (add, mul) = rings._read_ringtabs(blocks, order)
+    adds = [tuple(map(tuple, table)) for table in add.tolist()]
+    valid = rings._check_axioms(adds, add, mul)
+    entries = [
+        AtlasEntry(FiniteRing(order, a, tuple(map(tuple, m)), label), cert)
+        for a, m, label, cert in zip(adds, mul[:valid].tolist(), labels, certs)
+    ]
+    recomputed = structure._canonical_stack([e.ring for e in entries], mul[:valid])
+    if any(cert != e.certificate for (cert, _), e in zip(recomputed, entries)):
+        raise FormatError("stored certificate does not match its ring")
+    if valid < len(labels):
+        rings._scan_axioms(add[valid], mul[valid])
+    if valid < count:
+        # The first block that is no table of this order: read it alone for
+        # its own error, or name its order.
+        ring = rings.parse_ringtab(blocks[valid])
+        raise FormatError(f"entry order {ring.order} does not match header {order}")
     return entries

@@ -18,6 +18,7 @@ witnesses are those of the full search.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -262,12 +263,19 @@ def graph_isomorphic(g: SimpleGraph, h: SimpleGraph) -> list[int] | None:
     return mapping
 
 
+# A label is written with these characters escaped, so that it stays on its
+# line and inside its quotes; parse_dot undoes them.
+_DOT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
+_DOT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
+
+
 def export_dot(graph: SimpleGraph) -> str:
-    """Stable DOT text: vertices in index order, edges sorted."""
+    """Stable DOT text: vertices in index order, edges sorted; a label has
+    its backslashes, quotes and line breaks escaped."""
     lines = ["graph {"]
     for v in range(graph.vertex_count):
         if graph.labels is not None:
-            escaped = graph.labels[v].replace('"', '\\"')
+            escaped = "".join(_DOT_ESCAPES.get(ch, ch) for ch in graph.labels[v])
             lines.append(f'  {v} [label="{escaped}"];')
         else:
             lines.append(f"  {v};")
@@ -292,7 +300,8 @@ def parse_dot(text: str) -> SimpleGraph:
         if not line.endswith(";"):
             raise FormatError(f"unterminated statement: {line!r}")
         stmt = line[:-1].strip()
-        if "--" in stmt:
+        # Only the text before a label decides the kind: a label may hold "--".
+        if "--" in stmt.partition("[")[0]:
             left, _, right = stmt.partition("--")
             try:
                 edges.append((int(left), int(right)))
@@ -309,7 +318,8 @@ def parse_dot(text: str) -> SimpleGraph:
                 attrs = attrs.rstrip("]").strip()
                 if not (attrs.startswith('label="') and attrs.endswith('"')):
                     raise FormatError(f"unsupported attributes: {line!r}")
-                label = attrs[len('label="') : -1].replace('\\"', '"')
+                label = re.sub(r'\\(["\\nr])', lambda esc: _DOT_UNESCAPES[esc[1]],
+                               attrs[len('label="') : -1])
             nodes[v] = label
     n = len(nodes)
     if sorted(nodes) != list(range(n)):

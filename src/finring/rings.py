@@ -82,9 +82,11 @@ def _as_table(raw, n: int, which: str):
     return rows, np.array(rows, dtype=dtype)
 
 
-def _check_axioms(add: Table, a, m) -> None:
-    """AxiomViolation for the first ring axiom that the tables fail; `a` and
-    `m` are the tables as arrays, and `add` is also given as rows.
+def _check_axioms(adds: Sequence[Table], a, m) -> int:
+    """How many of the stacked pairs of tables, counted from the first, are
+    rings: the index of the first pair that is no ring, or len(a) if every
+    pair is one.  `a` and `m` are (b, n, n) stacks of add and mul tables as
+    arrays, and `adds` gives the add tables as rows.
 
     The cubic laws are checked only against S = addgroup.generators(add).
     `generators` follows table lookups from 0, so every element is one it
@@ -100,27 +102,58 @@ def _check_axioms(add: Table, a, m) -> None:
       bi-additive.
     - (gg')x = g(g'x) for all x, with g, g' in S, then gives associativity,
       since (uv)x - u(vx) is additive in u and in v.
-    A group of order n has at most log2(n) greedy generators, so more mean
-    the table is no group.  Tables that fail here go to `_scan_axioms`,
-    which names the first violation.
+    Commutativity of + is checked with them, so they may read g+y for y+g:
+    Light's test becomes (g+x)+z = (g+z)+x, and each side of a law but
+    three is then a gather of whole rows.  A group of order n has at most
+    log2(n) greedy generators, so more mean the table is no group.  The
+    pairs of a stack are checked side by side: each one's generators are
+    padded to a common count by repeating its last one, which checks some
+    laws twice and leaves the proof as it is.  A pair that fails here fails
+    `_scan_axioms`, which names its first violation.
     """
     import numpy as np
 
-    n = len(add)
-    s = np.array(addgroup.generators(add), dtype=np.intp)
-    if s.size < n.bit_length() and np.count_nonzero(a == 0) == n:
-        ag, ms = a.take(s, axis=1), m.take(s, axis=0)
-        mn, flat = m.astype(np.intp) * n, a.ravel()
-        # Side by side: 0+x = x, x+y = y+x, (x+g)+z = x+(g+z),
-        # x(y+g) = xy+xg, (y+g)x = yx+gx and (gg')x = g(g'x).
-        left = (a[0], a, a.take(ag, axis=0), m.take(ag, axis=1), m.take(ag, axis=0),
-                m.take(ms.take(s, axis=1), axis=0))
-        right = (np.arange(n, dtype=a.dtype), a.T, a.take(a.take(s, axis=0), axis=1),
-                 flat.take(mn[:, :, None] + m.take(s, axis=1)[:, None, :]),
-                 flat.take(mn[:, None, :] + ms), ms.take(ms, axis=1))
-        if np.array_equal(np.concatenate(left, axis=None), np.concatenate(right, axis=None)):
-            return
-    _scan_axioms(a, m)
+    n = a.shape[1]
+    gens = [addgroup.generators(add) for add in adds]
+    # Only the pairs before the first with a wrong zero row or too many
+    # generators are checked, so no n x n x |S| array is built for a
+    # non-group.
+    identity = tuple(range(n))
+    c = next((t for t, (add, g) in enumerate(zip(adds, gens))
+              if tuple(add[0]) != identity or len(g) >= n.bit_length()), len(a))
+    if not c:
+        return 0
+    if c < len(a):
+        a, m, gens = a[:c], m[:c], gens[:c]
+    k = max(map(len, gens))
+    # Row t*n + v of a (c*n, n) view is row v of table t, and (t*n + v)*n
+    # is the flat index of that row.
+    offsets = np.arange(0, c * n, n)[:, None, None]
+    local = np.array([g + g[-1:] * (k - len(g)) for g in gens], dtype=np.intp)
+    s = local + offsets[:, 0]
+    sn = s * n
+    flat_a, flat_m = a.ravel(), m.ravel()
+    rows_a, rows_m, rows_mt = a.reshape(-1, n), m.reshape(-1, n), m.mT.reshape(-1, n)
+    # g+y, gy and yg for g in S and every y, each of shape (c, k, n).
+    ga, gm, mg = rows_a.take(s, axis=0), rows_m.take(s, axis=0), rows_mt.take(s, axis=0)
+    sums = ga + offsets
+    plus = rows_a.take(sums, axis=0)
+    cells = ((m + offsets) * n)[:, None]
+    # Side by side: x+y = y+x, (g+x)+z = (g+z)+x, x(g+y) = xy+xg,
+    # (g+y)x = yx+gx and (gg')x = g(g'x), with t, g and g' before x, y, z.
+    left = (a, plus, rows_mt.take(sums, axis=0).mT, rows_m.take(sums, axis=0),
+            rows_m.take(flat_m.take(sn[:, :, None] + local[:, None, :]) + offsets, axis=0))
+    right = (a.mT, plus.mT, flat_a.take(cells + mg[..., None]), flat_a.take(cells + gm[:, :, None]),
+             flat_m.take(sn[..., None, None] + gm[:, None]))
+    # Where the laws hold no row has two zeros, so c*n zeros put n in each
+    # table.
+    if (np.count_nonzero(a) == c * n * (n - 1)
+            and (np.concatenate(left, axis=None) == np.concatenate(right, axis=None)).all()):
+        return c
+    bad = (a == 0).reshape(c, -1).sum(axis=1) != n
+    for lhs, rhs in zip(left, right):
+        bad |= (lhs != rhs).reshape(c, -1).any(axis=1)
+    return int(bad.argmax())
 
 
 # Below this order the tables fit one chunk, and a violation is reported at
@@ -216,7 +249,8 @@ def make_ring(
     _check_order(n)
     add_t, a = _as_table(add, n, "add")
     mul_t, m = _as_table(mul, n, "mul")
-    _check_axioms(add_t, a, m)
+    if not _check_axioms((add_t,), a[None], m[None]):
+        _scan_axioms(a, m)
     names = None
     if element_names is not None:
         names = tuple(element_names)
@@ -291,7 +325,7 @@ def from_products(
             if product:
                 coeff = np.multiply.outer(digits[:, i], digits[:, j]) % math.gcd(typ[i], typ[j])
                 mul = add[mul, smul[coeff, product]]
-    return make_ring(group.add, mul, label, element_names)
+    return make_ring(add, mul, label, element_names)
 
 
 def zn(n: int) -> FiniteRing:
@@ -612,65 +646,132 @@ def _ringtab_row(line: str, header: str) -> list[int]:
         raise FormatError(f"non-integer entry in {header} table") from None
 
 
-def parse_ringtab(text: str) -> FiniteRing:
-    import numpy as np
-
+def _ringtab_head(text: str) -> tuple[str | None, int, list[str], int]:
+    """The label and order of a ringtab text, its lines without blanks and
+    comments, and the index of the section line after the label: the
+    checks parse_ringtab makes before it reads a table."""
     lines = [
         line.strip()
         for line in text.split("\n")
         if line.strip() and not line.lstrip().startswith("#")
     ]
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError("unexpected end of ringtab input")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    if take() != "ringtab 1":
+    if not lines:
+        raise FormatError("unexpected end of ringtab input")
+    if lines[0] != "ringtab 1":
         raise FormatError("missing 'ringtab 1' magic line")
-    order_line = take()
-    if not order_line.startswith("order "):
+    if len(lines) < 2:
+        raise FormatError("unexpected end of ringtab input")
+    if not lines[1].startswith("order "):
         raise FormatError("expected 'order <n>' line")
     try:
-        n = int(order_line.split(None, 1)[1])
+        n = int(lines[1].split(None, 1)[1])
     except (IndexError, ValueError):
         raise FormatError("bad order line") from None
+    pos = 2
     label = None
-    section = take()
-    if section.startswith("label "):
-        label = section.split(None, 1)[1]
-        section = take()
+    if pos < len(lines) and lines[pos].startswith("label "):
+        label = lines[pos].split(None, 1)[1]
+        pos += 1
+    if pos >= len(lines):
+        raise FormatError("unexpected end of ringtab input")
+    return label, n, lines, pos
 
-    def read_table(header: str, got: str):
+
+def _read_block(rows: list[str], n: int):
+    """Rows in the written form, n ASCII digit runs split by single spaces,
+    as one array of shape (len(rows) // n, n, n) in the type `make_ring`
+    keeps; None for any other text, and for an entry of n or more.
+
+    int64 saturates an over-long token, so it fails the range check, and
+    the array is cast at once, so no int64 copy outlives the read.
+    """
+    import numpy as np
+
+    joined = " ".join(rows)
+    if (rows and joined.isascii() and "  " not in joined
+            and not joined.encode().translate(None, b"0123456789 ")
+            and all(row.count(" ") == n - 1 for row in rows)):
+        table = np.fromstring(joined, dtype=np.int64, sep=" ")
+        if table.max() < n:
+            return table.astype(np.min_scalar_type(n - 1)).reshape(-1, n, n)
+    return None
+
+
+def _read_ringtab(text: str):
+    """The label and the add and mul tables of a ringtab text, each an array
+    from `_read_block` or, for any other text, rows read token by token
+    through int(), which names the fault."""
+    label, n, lines, pos = _ringtab_head(text)
+
+    def read_table(header: str):
         nonlocal pos
+        got = lines[pos] if pos < len(lines) else None
+        if got is None:
+            raise FormatError("unexpected end of ringtab input")
+        pos += 1
         if got != header:
             raise FormatError(f"expected '{header}' section, found {got!r}")
-        # The written form, n rows of n ASCII digit runs split by single
-        # spaces, is read as one block; int64 saturates an over-long token,
-        # so it fails the range check.  A block in range is cast at once to
-        # the type `make_ring` keeps, so no int64 copy outlives the read.
-        # Any other text, and any entry out of range, goes token by token
-        # through int(), which names the fault.
-        block = lines[pos:pos + n]
-        joined = " ".join(block)
-        if (0 < n == len(block) and joined.isascii() and "  " not in joined
-                and not joined.encode().translate(None, b"0123456789 ")
-                and all(row.count(" ") == n - 1 for row in block)):
-            table = np.fromstring(joined, dtype=np.int64, sep=" ").reshape(n, n)
-            if table.max() < n:
-                pos += n
-                return table.astype(np.min_scalar_type(n - 1))
-        return [_ringtab_row(take(), header) for _ in range(n)]
+        block = _read_block(lines[pos:pos + n], n) if 0 < n <= len(lines) - pos else None
+        if block is not None:
+            pos += n
+            return block[0]
+        table = []
+        for _ in range(n):
+            if pos >= len(lines):
+                raise FormatError("unexpected end of ringtab input")
+            table.append(_ringtab_row(lines[pos], header))
+            pos += 1
+        return table
 
-    add = read_table("add", section)
-    mul = read_table("mul", take())
+    add = read_table("add")
+    mul = read_table("mul")
     if pos != len(lines):
         raise FormatError(f"trailing content after mul table: {lines[pos]!r}")
+    return label, add, mul
+
+
+def parse_ringtab(text: str) -> FiniteRing:
+    label, add, mul = _read_ringtab(text)
     return make_ring(add, mul, label=label)
+
+
+def _read_ringtabs(texts: Sequence[str], n: int):
+    """The labels and the (2, b, n, n) stack of add and mul tables of the
+    first b texts that read, as parse_ringtab reads them, as tables of order
+    n with entries in [0, n); the reading stops at the first text that does
+    not.  When every text is in the written form, all rows are read with one
+    np.fromstring; otherwise text by text.
+    """
+    import numpy as np
+
+    labels, add_rows, mul_rows = [], [], []
+    for text in texts:
+        try:
+            label, order, lines, pos = _ringtab_head(text)
+        except FormatError:
+            break
+        if (order != n or len(lines) != pos + 2 * n + 2 or lines[pos] != "add"
+                or lines[pos + n + 1] != "mul"):
+            break
+        labels.append(label)
+        add_rows += lines[pos + 1:pos + n + 1]
+        mul_rows += lines[pos + n + 2:]
+    if texts and len(labels) == len(texts):
+        stack = _read_block(add_rows + mul_rows, n)
+        if stack is not None:
+            return labels, stack.reshape(2, -1, n, n)
+    labels, tables = [], []
+    for text in texts:
+        try:
+            label, add, mul = _read_ringtab(text)
+            if len(add) != n:
+                break
+            tables.append((_as_table(add, n, "add")[1], _as_table(mul, n, "mul")[1]))
+        except (FormatError, AxiomViolation):
+            break
+        labels.append(label)
+    stack = np.array(tables, dtype=np.min_scalar_type(n - 1)).reshape(-1, 2, n, n)
+    return labels, stack.transpose(1, 0, 2, 3).copy()
 
 
 def write_ringtab(ring: FiniteRing, path) -> None:

@@ -8,7 +8,9 @@ is a pure function of the Cayley tables.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+import itertools
+from collections import Counter
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from . import addgroup, rings
@@ -259,7 +261,8 @@ def decompose(ring: FiniteRing) -> list[Ideal]:
 
     Greedily splits components against complementary ideal pairs; a singleton
     result means the ring is indecomposable.  Components come back sorted by
-    (size, certificate) so the output is deterministic.
+    (size, certificate) so the output is deterministic; a certificate is
+    computed only for a component whose size another one shares.
     """
     _check_cap(ring, "decomposition")
     lattice = [frozenset(i.members) for i in ideals(ring)]
@@ -273,8 +276,12 @@ def decompose(ring: FiniteRing) -> list[Ideal]:
                 components[ci: ci + 1] = [split[0], split[1]]
                 done = False
                 break
+    sizes = Counter(map(len, components))
+
     def sort_key(s: frozenset[int]):
         members = tuple(sorted(s))
+        if sizes[len(s)] == 1:
+            return (len(s), b"", members)
         # An ideal is closed, so the subring it generates is the ideal itself.
         sub = rings.subring_generated(ring, members).ring
         return (len(s), ring_canonical_certificate(sub), members)
@@ -310,15 +317,6 @@ class RingHom:
         )
 
 
-def _std_mul(ring: FiniteRing, perm: list[int]) -> tuple[int, ...]:
-    n = ring.order
-    inv = [0] * n
-    for i, e in enumerate(perm):
-        inv[e] = i
-    mul = ring.mul
-    return tuple(inv[mul[px][py]] for px in perm for py in perm)
-
-
 def _fingerprint(ring: FiniteRing) -> tuple:
     """Isomorphism invariants that are cheap next to a canonical form."""
     return (
@@ -334,17 +332,20 @@ def _fingerprint(ring: FiniteRing) -> tuple:
 def ring_isomorphic(r: FiniteRing, s: FiniteRing) -> RingHom | None:
     """An isomorphism r -> s read off the two canonical forms, or None.
 
-    Pairs whose cheap invariants differ are rejected before any
-    canonicalization.  Otherwise the rings are isomorphic exactly when their
-    certificates agree, and then each canonical basis maps standard element
-    i to an element of its ring, so basis_r[i] -> basis_s[i] is a witness.
-    Additive types beyond AUTOMORPHISM_BUDGET raise BudgetExceeded, as the
-    certificate does.
+    Rings with equal tables are isomorphic by the identity map, found
+    without a certificate.  Pairs whose cheap invariants differ are rejected
+    before any canonicalization.  Otherwise the rings are isomorphic exactly
+    when their certificates agree, and then each canonical basis maps
+    standard element i to an element of its ring, so basis_r[i] -> basis_s[i]
+    is a witness.  Additive types beyond AUTOMORPHISM_BUDGET raise
+    BudgetExceeded, as the certificate does.
     """
     _check_cap(r, "isomorphism search")
     _check_cap(s, "isomorphism search")
     if r.order != s.order:
         return None
+    if r.add == s.add and r.mul == s.mul:
+        return RingHom(r, s, tuple(range(r.order)))
     if _fingerprint(r) != _fingerprint(s):
         return None
     cert_r, basis_r = _canonical(r)
@@ -384,33 +385,73 @@ def _canonical(ring: FiniteRing) -> tuple[bytes, list[int]]:
     import numpy as np
 
     _check_cap(ring, "certificate computation")
-    typ = addgroup.additive_type(ring.add)
-    count = addgroup.automorphism_count(typ)
-    if count > AUTOMORPHISM_BUDGET:
-        raise BudgetExceeded(
-            f"certificate of additive type {typ} needs a minimum over {count} "
-            f"automorphisms, beyond the budget of {AUTOMORPHISM_BUDGET}"
-        )
     n = ring.order
-    perm0 = next(addgroup.iter_basis_perms(ring.add, typ))
-    table = np.frombuffer(bytes(_std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
-    autos = addgroup.automorphism_perms(typ)
+    mul = np.frombuffer(bytes(itertools.chain.from_iterable(ring.mul)), dtype=np.uint8)
+    return _canonical_stack([ring], mul.reshape(1, n, n))[0]
+
+
+def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list[int]]]:
+    """`_canonical` of each ring in `group`, rings of one order at most
+    STRUCTURAL_CAP whose product tables are the (b, n, n) array `mul`.
+
+    The rings of one additive type are certified together: one gather
+    standardizes their tables, and `_aut_action` relabels them in blocks of
+    at most _CERTIFICATE_BLOCK entries, each block a run of tables with a
+    run of automorphisms.  Each table keeps its first least row; a block of
+    one table is the block of one ring alone, so a ring's basis does not
+    depend on the rings beside it.
+    """
+    import numpy as np
+
+    by_type: dict[tuple[int, ...], list[int]] = {}
+    firsts = []
+    for i, ring in enumerate(group):
+        typ = addgroup.additive_type(ring.add)
+        count = addgroup.automorphism_count(typ)
+        if count > AUTOMORPHISM_BUDGET:
+            raise BudgetExceeded(
+                f"certificate of additive type {typ} needs a minimum over {count} "
+                f"automorphisms, beyond the budget of {AUTOMORPHISM_BUDGET}"
+            )
+        by_type.setdefault(typ, []).append(i)
+        firsts.append(next(addgroup.iter_basis_perms(ring.add, typ)))
+    if not group:
+        return []
+    n = mul.shape[-1]
     width = n * n
     step = max(1, _CERTIFICATE_BLOCK // width)
-    best: bytes | None = None
-    best_row = 0
-    for lo in range(0, len(autos), step):
-        block = _aut_action(typ, table, slice(lo, lo + step), slice(None))
-        # Rows of one width order the same as byte strings and as bytes, so
-        # trailing nulls cannot reorder them; argmin returns the first least.
-        row = int(block.view(f"S{width}").argmin())
-        cand = block[row].tobytes()
-        if best is None or cand < best:
-            best = cand
-            best_row = lo + row
-    assert best is not None
-    header = f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode()
-    return header + best, [perm0[x] for x in autos[best_row].tolist()]
+    # std[t, x, y] = p^-1[mul_t[p[x], p[y]]] for p = firsts[t]: each table
+    # read in its first basis, by one gather over the stack.
+    perm = np.array(firsts, dtype=np.intp)
+    offsets = np.arange(0, len(group) * n, n)[:, None]
+    cells = mul.ravel().take((perm + offsets)[:, :, None] * n + perm[:, None, :])
+    std = np.argsort(perm, axis=1).ravel().take(cells + offsets[..., None])
+    out: list[tuple[bytes, list[int]]] = [(b"", [])] * len(group)
+    for typ, members in by_type.items():
+        autos = addgroup.automorphism_perms(typ)
+        header = f"FR1;n={n};t={','.join(map(str, typ))};".encode()
+        # `members` ascends, so a type that holds every ring holds them in order.
+        tables = std if len(members) == len(group) else std.take(members, axis=0)
+        per_block = max(1, step // len(autos))
+        span = min(len(autos), step)
+        for t0 in range(0, len(members), per_block):
+            best: list[bytes] = []
+            rows: list[int] = []
+            for lo in range(0, len(autos), span):
+                block = _aut_action(typ, tables[t0:t0 + per_block], slice(lo, lo + span), slice(None))
+                # Rows of one width order the same as byte strings and as
+                # bytes, so trailing nulls cannot reorder them; argmin
+                # returns the first least.
+                for j, row in enumerate(block.view(f"S{width}")[..., 0].argmin(axis=1)):
+                    cand = block[j, row].tobytes()
+                    if j == len(best):
+                        best.append(cand)
+                        rows.append(lo + row)
+                    elif cand < best[j]:
+                        best[j], rows[j] = cand, lo + row
+            for i, cand, row in zip(members[t0:t0 + per_block], best, rows):
+                out[i] = header + cand, [firsts[i][x] for x in autos[row].tolist()]
+    return out
 
 
 def _canonical_ring(cert: bytes) -> FiniteRing:
@@ -426,7 +467,7 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
     group = addgroup.std_group(typ)
     if group.order != n or len(table_bytes) != n * n:
         raise FormatError("ring certificate does not match its header")
-    return rings.make_ring(group.add, np.frombuffer(table_bytes, np.uint8).reshape(n, n))
+    return rings.make_ring(addgroup.std_arrays(typ)[0], np.frombuffer(table_bytes, np.uint8).reshape(n, n))
 
 
 def _aut_action(typ: tuple[int, ...], table, autos: slice, points):
@@ -436,17 +477,20 @@ def _aut_action(typ: tuple[int, ...], table, autos: slice, points):
     Under basis phi the product of standard elements x, y reads
     phi^-1[table[phi[x], phi[y]]]; a row holds it for x, y in `points` (an
     index into the elements), x major.  That is the table relabelled by
-    phi^-1, so the rows over all of Aut are its orbit.  Both lookups are flat
-    gathers: the cells at phi[x] * n + phi[y] of the raveled table, then the
-    entries at cell + i * n of the raveled inverses for row i.
+    phi^-1, so the rows over all of Aut are its orbit.  `table` may also be
+    a stack of tables, (..., n, n), with a block of rows for each.  Both
+    lookups are flat gathers: the cells at phi[x] * n + phi[y] of each
+    raveled table, then the entries at cell + i * n of the raveled inverses
+    for row i.
     """
     import numpy as np
 
-    n = len(table)
+    n = table.shape[-1]
     phi = addgroup.automorphism_perms(typ)[autos][:, points].astype(np.intp)
     inverses = addgroup.automorphism_inverses(typ)[autos]
-    cells = table.ravel().take((phi * n)[:, :, None] + phi[:, None, :]).reshape(len(phi), -1)
-    return inverses.ravel().take(cells + np.arange(0, len(phi) * n, n)[:, None])
+    cells = table.reshape(-1, n * n).take((phi * n)[:, :, None] + phi[:, None, :], axis=1)
+    rows = inverses.ravel().take(cells + np.arange(0, len(phi) * n, n)[:, None, None])
+    return rows.reshape(table.shape[:-2] + (len(phi), -1))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import pytest
 from finring import addgroup, atlas, freealg, graphs, rings, structure
 from finring.errors import AxiomViolation, FormatError, OrderCapExceeded
 
+from test_certificates import relabel
+
 
 def test_abelian_group_types():
     assert atlas.abelian_group_types(4) == [(4,), (2, 2)]
@@ -282,11 +284,12 @@ def test_atlas_lists_each_class_once_by_ascending_certificate(tmp_path, atlas_by
         with pytest.raises(FormatError, match="^certificate lines are not strictly ascending$"):
             atlas.load_atlas(bad)
         bad.unlink()
-    # A file with only some of the classes, in order, is not detectable
-    # without the class counts, and still loads.
+    # A file with only some of the classes, in order, lists fewer than the
+    # class count of its order (OEIS A027623).
     subset = tmp_path / "subset.txt"
     subset.write_text(atlas_text(entries[::3]), encoding="utf-8")
-    assert [e.certificate for e in atlas.load_atlas(subset)] == [e.certificate for e in entries[::3]]
+    with pytest.raises(FormatError, match="^an atlas of order 4 lists 11 classes, not 4$"):
+        atlas.load_atlas(subset)
 
 
 def test_atlas_rows_split_only_at_newlines(tmp_path, atlas_by_order):
@@ -582,3 +585,111 @@ def test_entry_invariants_are_computed_once(monkeypatch):
     monkeypatch.setattr(graphs, "zero_divisor_graph", _refuse)
     monkeypatch.setattr(graphs, "canonical_form", _refuse)
     assert entry.graph_certificate is graph_certificate
+
+
+# --- atlas files read as one batch ----------------------------------------------
+
+
+def reference_load(path):
+    """The per-entry loop `load_atlas` ran before it read a file as one
+    batch: each block parsed and validated alone, then its order and its
+    recomputed certificate checked.  It is the oracle for which entry, and
+    which check, a faulty file fails first."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    count = int(lines[2].removeprefix("count "))
+    order = int(lines[1].removeprefix("order "))
+    certs = [bytes.fromhex(line) for line in lines[3:3 + count]]
+    blocks = [b for b in "\n".join(lines[3 + count:]).split("\n\n") if b.strip()]
+    entries = []
+    for cert, block in zip(certs, blocks):
+        ring = rings.parse_ringtab(block)
+        if ring.order != order:
+            raise FormatError(f"entry order {ring.order} does not match header {order}")
+        if structure.ring_canonical_certificate(ring) != cert:
+            raise FormatError("stored certificate does not match its ring")
+        entries.append(atlas.make_entry(ring, certificate=cert))
+    return entries
+
+
+def failure(load, path):
+    try:
+        load(path)
+    except (AxiomViolation, FormatError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def relabeled_atlas_text(entries, rng):
+    """An atlas file of the classes in `entries` whose blocks hold seeded
+    relabelings of the stored rings, under their labels."""
+    copies = [dataclasses.replace(relabel(e.ring, rng), label=e.ring.label) for e in entries]
+    return atlas_text([atlas.AtlasEntry(r, e.certificate) for r, e in zip(copies, entries)])
+
+
+def test_batch_load_matches_each_block_read_alone(tmp_path):
+    rng = random.Random(21)
+    path = tmp_path / "atlas.txt"
+    for n in range(1, 16):
+        entries = atlas.enumerate_rings(n, cap=15)
+        for text in (atlas_text(entries), relabeled_atlas_text(entries, rng)):
+            path.write_text(text, encoding="utf-8")
+            loaded = atlas.load_atlas(path)
+            body = text.split("\n\n", 1)[1]
+            parsed = [rings.parse_ringtab(block) for block in body.split("\n\n")]
+            assert [e.ring for e in loaded] == parsed
+            assert [e.certificate for e in loaded] == [e.certificate for e in entries]
+            assert [e.certificate for e in loaded] == [
+                structure.ring_canonical_certificate(ring) for ring in parsed]
+
+
+def _faults(entries):
+    """name -> function that puts one fault into ringtab block i of the
+    blocks of `entries`."""
+    order2 = rings.format_ringtab(rings.zn(2))
+
+    def bad_token(blocks, i):
+        lines = blocks[i].split("\n")
+        row = lines.index("add") + 2
+        lines[row] = lines[row].replace("1", "x", 1)
+        blocks[i] = "\n".join(lines)
+
+    def axioms(blocks, i):
+        lines = blocks[i].split("\n")
+        row = lines.index("mul") + 2
+        cells = lines[row].split()
+        cells[1] = str((int(cells[1]) + 1) % len(cells))
+        lines[row] = " ".join(cells)
+        blocks[i] = "\n".join(lines)
+
+    def order(blocks, i):
+        blocks[i] = order2
+
+    def certificate(blocks, i):
+        blocks[i] = rings.format_ringtab(entries[(i + 1) % len(entries)].ring)
+
+    return {"bad token": bad_token, "axioms": axioms, "order": order, "certificate": certificate}
+
+
+@pytest.mark.parametrize("written_form", [True, False], ids=["block", "token"])
+def test_batch_load_reports_the_first_faulty_entry(tmp_path, atlas_by_order, written_form):
+    entries = atlas_by_order[4]
+    faults = _faults(entries)
+    path = tmp_path / "atlas-4.txt"
+    head, body = atlas_text(entries).split("\n\n", 1)
+    seen = set()
+    for (first, put_first), (second, put_second) in itertools.product(faults.items(), repeat=2):
+        for i, j in ((2, 7), (7, 2), (0, 10)):
+            blocks = body.split("\n\n")
+            put_first(blocks, i)
+            put_second(blocks, j)
+            if not written_form:
+                # A comment line takes every block off the one-read path.
+                blocks[5] = "# comment\n" + blocks[5]
+            path.write_text(head + "\n\n" + "\n\n".join(blocks), encoding="utf-8")
+            expected = failure(reference_load, path)
+            assert expected is not None
+            assert failure(atlas.load_atlas, path) == expected, (first, i, second, j)
+            seen.add(expected[1].split(" fails at")[0])
+    assert seen >= {"non-integer entry in add table", "entry order 2 does not match header 4",
+                    "stored certificate does not match its ring"}
+    assert any(kind in seen for kind in rings._CUBIC_LAWS + ("add-commutative", "zero-identity"))

@@ -7,12 +7,23 @@ from finring import addgroup, atlas, cli, rings, structure
 from finring.errors import BudgetExceeded
 
 
+def std_mul(ring, perm):
+    """The product table read in the basis `perm`, by a Python loop: the
+    reference for the gather that standardizes a stack of tables."""
+    n = ring.order
+    inv = [0] * n
+    for i, e in enumerate(perm):
+        inv[e] = i
+    mul = ring.mul
+    return tuple(inv[mul[px][py]] for px in perm for py in perm)
+
+
 def brute_force_certificate(ring):
     """The certificate by its definition: lexmin of the standardized table
     over every decomposition basis of the additive group."""
     typ = addgroup.additive_type(ring.add)
     best = min(
-        structure._std_mul(ring, perm) for perm in addgroup.iter_basis_perms(ring.add, typ)
+        std_mul(ring, perm) for perm in addgroup.iter_basis_perms(ring.add, typ)
     )
     return f"FR1;n={ring.order};t={','.join(map(str, typ))};".encode() + bytes(best)
 
@@ -69,7 +80,7 @@ def reference_canonical(ring):
     typ = addgroup.additive_type(ring.add)
     n = ring.order
     perm0 = next(addgroup.iter_basis_perms(ring.add, typ))
-    table = np.frombuffer(bytes(structure._std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
+    table = np.frombuffer(bytes(std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
     autos = addgroup.automorphism_perms(typ)
     width = n * n
     step = max(1, structure._CERTIFICATE_BLOCK // width)
@@ -207,6 +218,23 @@ def test_ring_isomorphic_above_budget_is_refused_without_enumeration(monkeypatch
     refuse(monkeypatch, addgroup, "automorphism_perms")
     with pytest.raises(BudgetExceeded):
         structure.ring_isomorphic(gf32, copy)
+
+
+def test_ring_isomorphic_with_equal_tables_needs_no_certificate(monkeypatch):
+    gf32 = rings.gf(2, 5)
+    twin = rings.make_ring(gf32.add, gf32.mul)
+    refuse(monkeypatch, structure, "_canonical")
+    for other in (gf32, twin):
+        hom = structure.ring_isomorphic(gf32, other)
+        assert hom.images == tuple(range(32)) and hom.is_isomorphism
+
+
+def test_decompose_certifies_only_components_of_shared_size(monkeypatch):
+    gf32 = rings.gf(2, 5)
+    refuse(monkeypatch, structure, "ring_canonical_certificate")
+    assert [c.members for c in structure.decompose(gf32)] == [tuple(range(32))]
+    z2_z3 = rings.direct_sum(rings.zn(2), rings.zn(3))
+    assert [len(c) for c in structure.decompose(z2_z3)] == [2, 3]
 
 
 def test_decompose_orders_equal_sizes_by_old_certificate():

@@ -123,6 +123,13 @@ def test_dot_reader(atlas_dir, text):
     assert code in EXIT_CODES
 
 
+@fuzz_settings
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=16), min_size=1, max_size=6))
+def test_dot_labels_round_trip(labels):
+    graph = graphs.make_graph(len(labels), [(0, i) for i in range(1, len(labels))], labels)
+    assert graphs.parse_dot(graphs.export_dot(graph)) == graph
+
+
 POLY_SEEDS = [
     "x", "2x + x^2", "xy - yx", "[x, y]z", "[[x,y],z] + x2x3", "(x+y)^3 - 4x", "x^2 - x",
     "-xyz", "3 x * y", "x12^2", "0",

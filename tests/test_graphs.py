@@ -235,6 +235,19 @@ def test_dot_lines_split_only_at_newlines():
     assert graphs.parse_dot(graphs.export_dot(labeled)) == labeled
 
 
+def test_dot_labels_read_back_with_escapes():
+    # Backslashes, quotes and line breaks are escaped, so each label stays on
+    # its line and inside its quotes; a label may also hold "--", "[" or "];".
+    labels = ("a\nb", "a\\", 'x"y', "\r\n\\\"", "p--q", "z];", "[", "\\n")
+    graph = graphs.make_graph(len(labels), [(0, 7)], labels)
+    text = graphs.export_dot(graph)
+    assert text.count("\n") == len(labels) + 3
+    assert '  0 [label="a\\nb"];\n  1 [label="a\\\\"];\n  2 [label="x\\"y"];\n' in text
+    assert graphs.parse_dot(text) == graph
+    # An escape the writer never makes is read as written.
+    assert graphs.parse_dot('graph {\n  0 [label="a\\tb"];\n}\n').labels == ("a\\tb",)
+
+
 def test_make_graph_validation():
     with pytest.raises(ValueError):
         graphs.make_graph(2, [(0, 0)])
