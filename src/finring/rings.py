@@ -705,9 +705,9 @@ def _read_ringtab(text: str):
 
     def read_table(header: str):
         nonlocal pos
-        got = lines[pos] if pos < len(lines) else None
-        if got is None:
+        if pos >= len(lines):
             raise FormatError("unexpected end of ringtab input")
+        got = lines[pos]
         pos += 1
         if got != header:
             raise FormatError(f"expected '{header}' section, found {got!r}")
@@ -760,18 +760,20 @@ def _read_ringtabs(texts: Sequence[str], n: int):
         stack = _read_block(add_rows + mul_rows, n)
         if stack is not None:
             return labels, stack.reshape(2, -1, n, n)
-    labels, tables = [], []
+    labels, adds, muls = [], [], []
     for text in texts:
         try:
             label, add, mul = _read_ringtab(text)
             if len(add) != n:
                 break
-            tables.append((_as_table(add, n, "add")[1], _as_table(mul, n, "mul")[1]))
+            add, mul = _as_table(add, n, "add")[1], _as_table(mul, n, "mul")[1]
         except (FormatError, AxiomViolation):
             break
         labels.append(label)
-    stack = np.array(tables, dtype=np.min_scalar_type(n - 1)).reshape(-1, 2, n, n)
-    return labels, stack.transpose(1, 0, 2, 3).copy()
+        adds.append(add)
+        muls.append(mul)
+    stack = np.array([adds, muls], dtype=np.min_scalar_type(n - 1))
+    return labels, stack.reshape(2, -1, n, n)
 
 
 def write_ringtab(ring: FiniteRing, path) -> None:

@@ -403,6 +403,8 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
     """
     import numpy as np
 
+    if not group:
+        return []
     by_type: dict[tuple[int, ...], list[int]] = {}
     firsts = []
     for i, ring in enumerate(group):
@@ -415,8 +417,6 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
             )
         by_type.setdefault(typ, []).append(i)
         firsts.append(next(addgroup.iter_basis_perms(ring.add, typ)))
-    if not group:
-        return []
     n = mul.shape[-1]
     width = n * n
     step = max(1, _CERTIFICATE_BLOCK // width)
@@ -435,19 +435,16 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
         per_block = max(1, step // len(autos))
         span = min(len(autos), step)
         for t0 in range(0, len(members), per_block):
-            best: list[bytes] = []
-            rows: list[int] = []
+            chunk = tables[t0:t0 + per_block]
+            best, rows = [b""] * len(chunk), [0] * len(chunk)
             for lo in range(0, len(autos), span):
-                block = _aut_action(typ, tables[t0:t0 + per_block], slice(lo, lo + span), slice(None))
+                block = _aut_action(typ, chunk, slice(lo, lo + span), slice(None))
                 # Rows of one width order the same as byte strings and as
                 # bytes, so trailing nulls cannot reorder them; argmin
                 # returns the first least.
                 for j, row in enumerate(block.view(f"S{width}")[..., 0].argmin(axis=1)):
                     cand = block[j, row].tobytes()
-                    if j == len(best):
-                        best.append(cand)
-                        rows.append(lo + row)
-                    elif cand < best[j]:
+                    if not lo or cand < best[j]:
                         best[j], rows[j] = cand, lo + row
             for i, cand, row in zip(members[t0:t0 + per_block], best, rows):
                 out[i] = header + cand, [firsts[i][x] for x in autos[row].tolist()]
@@ -467,7 +464,8 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
     group = addgroup.std_group(typ)
     if group.order != n or len(table_bytes) != n * n:
         raise FormatError("ring certificate does not match its header")
-    return rings.make_ring(addgroup.std_arrays(typ)[0], np.frombuffer(table_bytes, np.uint8).reshape(n, n))
+    mul = np.frombuffer(table_bytes, np.uint8).reshape(n, n)
+    return rings.make_ring(addgroup.std_arrays(typ)[0], mul)
 
 
 def _aut_action(typ: tuple[int, ...], table, autos: slice, points):

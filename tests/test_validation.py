@@ -246,6 +246,30 @@ def test_generator_check_agrees_with_the_full_scan(build, count):
     assert seen, ring.label
 
 
+def _stack(pairs):
+    """The add tables as rows and the (b, n, n) add and mul stacks."""
+    arrays = [_arrays(add, mul) for add, mul in pairs]
+    return [t[0] for t in arrays], np.stack([t[1] for t in arrays]), np.stack([t[2] for t in arrays])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12])
+def test_stacked_check_stops_at_the_first_table_that_is_no_ring(n):
+    # The rings of order n have from 0 to 3 generators, so the stack pads
+    # them; each corrupted copy goes in at a seeded position.
+    rnd = random.Random(n)
+    valid = [(e.ring.add, e.ring.mul) for e in atlas.enumerate_rings(n, cap=12)]
+    adds, a, m = _stack(valid)
+    assert rings._check_axioms(adds, a, m) == len(valid)
+    faulty = [(add, mul) for ring in _base_rings(n) for _, add, mul in _corruptions(ring, rnd, 3)
+              if _violation(add, mul)]
+    assert faulty or n == 1
+    for add, mul in faulty:
+        pos = rnd.randrange(len(valid) + 1)
+        pairs = valid[:pos] + [(add, mul)] + valid[pos:] + faulty[:1]
+        adds, a, m = _stack(pairs)
+        assert rings._check_axioms(adds, a, m) == pos
+
+
 def _magma_closure(add, elements):
     """Every bracketed sum of the elements and 0."""
     closure = {0, *elements}
