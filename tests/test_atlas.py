@@ -290,6 +290,15 @@ def test_atlas_lists_each_class_once_by_ascending_certificate(tmp_path, atlas_by
     subset.write_text(atlas_text(entries[::3]), encoding="utf-8")
     with pytest.raises(FormatError, match="^an atlas of order 4 lists 11 classes, not 4$"):
         atlas.load_atlas(subset)
+    # The empty file save_atlas([]) writes has order 0 and no classes.
+    for header, message in (
+        ("atlas v1\norder 0\ncount 1\n00\n", "an atlas of order 0 lists 0 classes, not 1"),
+        ("atlas v1\norder 32\ncount 0\n", "no class count is known for order 32"),
+    ):
+        subset.write_text(header, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            atlas.load_atlas(subset)
+    assert atlas.CLASS_COUNTS[:15] == tuple(len(atlas.enumerate_rings(n, cap=15)) for n in range(1, 16))
 
 
 def test_atlas_rows_split_only_at_newlines(tmp_path, atlas_by_order):
