@@ -424,8 +424,8 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
     # read in its first basis, by one gather over the stack.
     perm = np.array(firsts, dtype=np.intp)
     offsets = np.arange(0, len(group) * n, n)[:, None]
-    cells = mul.ravel().take((perm + offsets)[:, :, None] * n + perm[:, None, :])
-    std = np.argsort(perm, axis=1).ravel().take(cells + offsets[..., None])
+    cells = mul.take((perm + offsets)[:, :, None] * n + perm[:, None, :])
+    std = np.argsort(perm, axis=1).take(cells + offsets[..., None])
     out: list[tuple[bytes, list[int]]] = [(b"", [])] * len(group)
     for typ, members in by_type.items():
         autos = addgroup.automorphism_perms(typ)
