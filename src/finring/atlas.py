@@ -220,23 +220,28 @@ def _first_rows(typ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _chunk_certificates(job: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]) -> list[bytes]:
     """Worker body: scan the job's first rows and return the certificates of
     the classes first seen inside the job (one orbit-dedup set covers all
-    its rows)."""
-    import numpy as np
+    its rows).
 
+    The scan's tensors are associative on generator triples and their
+    tables are bilinear by construction, so the tables are rings and are
+    certified as one stack without a check."""
     typ, first_rows = job
-    gens = list(addgroup.std_group(typ).gens)
+    tensors = _scan_tensors(typ, first_rows)
+    if not tensors:
+        return []
+    group = addgroup.std_group(typ)
+    gens = list(group.gens)
+    tables = rings._bilinear_tables(typ, tensors)
     seen: set[tuple[int, ...]] = set()
-    certs: list[bytes] = []
-    for products in _scan_tensors(typ, first_rows):
+    kept = []
+    for t, products in enumerate(tensors):
         if products in seen:
             continue
-        ring = rings.from_products(typ, products)
-        certs.append(structure.ring_canonical_certificate(ring))
+        kept.append(t)
         # The generator products of every table in the ring's orbit.
-        table = np.array(ring.mul, dtype=np.uint8)
-        orbit = structure._aut_action(typ, table, slice(None), gens)
+        orbit = structure._aut_action(typ, tables[t], slice(None), gens)
         seen.update(map(tuple, orbit.tolist()))
-    return certs
+    return [cert for cert, _ in structure._canonical_stack([group.add] * len(kept), tables[kept])]
 
 
 def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
@@ -282,6 +287,8 @@ def enumerate_rings(
     Entries come back sorted by certificate and labeled R<n>_<index>; the
     result is byte-for-byte independent of the worker count.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("order must be at least 1")
     _check_enum_cap(n, cap)
@@ -293,15 +300,15 @@ def enumerate_rings(
         ]
         per_part.append([(c, structure._canonical_ring(c)) for c in certs])
     # A ring decoded from a certificate has that certificate, so only direct
-    # sums of several parts need a new one.
+    # sums of several parts need a new one, all certified as one stack.
     keyed = per_part[0]
     if len(per_part) > 1:
         combos = [ring for _, ring in per_part[0]]
         for other in per_part[1:]:
             combos = [rings.direct_sum(a, b) for a in combos for _, b in other]
-        keyed = sorted(
-            (structure.ring_canonical_certificate(ring), ring) for ring in combos
-        )
+        muls = np.array([ring.mul for ring in combos], dtype=np.uint8)
+        certified = structure._canonical_stack([ring.add for ring in combos], muls)
+        keyed = sorted(zip((cert for cert, _ in certified), combos))
     entries = []
     for i, (cert, ring) in enumerate(keyed):
         labeled = replace(ring, label=f"R{n}_{i}")
@@ -403,11 +410,12 @@ def save_atlas(entries: list[AtlasEntry], path) -> None:
 
 
 def load_atlas(path) -> list[AtlasEntry]:
-    """The entries of an atlas file, each checked as one batch: the ringtab
-    blocks are read as one stack of tables, validated with one axiom check
-    and re-certified together.  A faulty file raises the error of its first
-    faulty entry, from the first check it fails: reading, the axioms, the
-    order, then the stored certificate."""
+    """The entries of an atlas file.  A file in the form save_atlas writes is
+    checked as one batch: the ringtab blocks are read as one stack of
+    tables, validated with one axiom check and re-certified together.  A
+    file the batch does not accept whole is read entry by entry, so a faulty
+    file raises the error of its first faulty entry, from the first check it
+    fails: reading, the axioms, the order, then the stored certificate."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # Text mode turns \r\n into \n; split at \n alone, as parse_ringtab does,
@@ -441,23 +449,21 @@ def load_atlas(path) -> list[AtlasEntry]:
     blocks = [b for b in body.split("\n\n") if b.strip()]
     if len(blocks) != count:
         raise FormatError(f"expected {count} ringtab blocks, found {len(blocks)}")
-    if not count:
-        return []
-    labels, (add, mul) = rings._read_ringtabs(blocks, order)
-    adds = [tuple(map(tuple, table)) for table in add.tolist()]
-    valid = rings._check_axioms(adds, add, mul)
-    entries = [
-        AtlasEntry(FiniteRing(order, a, tuple(map(tuple, m)), label), cert)
-        for a, m, label, cert in zip(adds, mul[:valid].tolist(), labels, certs)
-    ]
-    recomputed = structure._canonical_stack([e.ring for e in entries], mul[:valid])
-    if any(cert != e.certificate for (cert, _), e in zip(recomputed, entries)):
-        raise FormatError("stored certificate does not match its ring")
-    if valid < len(labels):
-        rings._scan_axioms(add[valid], mul[valid])
-    if valid < count:
-        # The first block that is no table of this order: read it alone for
-        # its own error, or name its order.
-        ring = rings.parse_ringtab(blocks[valid])
-        raise FormatError(f"entry order {ring.order} does not match header {order}")
+    read = rings._read_ringtabs(blocks, order)
+    if read is not None:
+        labels, (add, mul) = read
+        adds = [tuple(map(tuple, table)) for table in add.tolist()]
+        if rings._check_axioms(adds, add, mul):
+            recomputed = [cert for cert, _ in structure._canonical_stack(adds, mul)]
+            if recomputed == certs:
+                return [AtlasEntry(FiniteRing(order, a, tuple(map(tuple, m)), label), cert)
+                        for a, m, label, cert in zip(adds, mul.tolist(), labels, certs)]
+    entries = []
+    for cert, block in zip(certs, blocks):
+        ring = rings.parse_ringtab(block)
+        if ring.order != order:
+            raise FormatError(f"entry order {ring.order} does not match header {order}")
+        if structure.ring_canonical_certificate(ring) != cert:
+            raise FormatError("stored certificate does not match its ring")
+        entries.append(AtlasEntry(ring, cert))
     return entries

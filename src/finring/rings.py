@@ -82,11 +82,10 @@ def _as_table(raw, n: int, which: str):
     return rows, np.array(rows, dtype=dtype)
 
 
-def _check_axioms(adds: Sequence[Table], a, m) -> int:
-    """How many of the stacked pairs of tables, counted from the first, are
-    rings: the index of the first pair that is no ring, or len(a) if every
-    pair is one.  `a` and `m` are (b, n, n) stacks of add and mul tables as
-    arrays, and `adds` gives the add tables as rows.
+def _check_axioms(adds: Sequence[Table], a, m) -> bool:
+    """Whether every stacked pair of tables is a ring.  `a` and `m` are
+    (b, n, n) stacks of add and mul tables as arrays, and `adds` gives the
+    add tables as rows.
 
     The cubic laws are checked only against S = addgroup.generators(add).
     `generators` follows table lookups from 0, so every element is one it
@@ -113,18 +112,13 @@ def _check_axioms(adds: Sequence[Table], a, m) -> int:
     """
     import numpy as np
 
-    n = a.shape[1]
+    c, n = a.shape[:2]
     gens = [addgroup.generators(add) for add in adds]
-    # Only the pairs before the first with a wrong zero row or too many
-    # generators are checked, so no n x n x |S| array is built for a
-    # non-group.
+    # A wrong zero row or too many generators fails the stack before any
+    # n x n x |S| array is built for a non-group.
     identity = tuple(range(n))
-    c = next((t for t, (add, g) in enumerate(zip(adds, gens))
-              if tuple(add[0]) != identity or len(g) >= n.bit_length()), len(a))
-    if not c:
-        return 0
-    if c < len(a):
-        a, m, gens = a[:c], m[:c], gens[:c]
+    if any(tuple(add[0]) != identity or len(g) >= n.bit_length() for add, g in zip(adds, gens)):
+        return False
     k = max(map(len, gens))
     # Row t*n + v of a (c*n, n) view is row v of table t, and (t*n + v)*n
     # is the flat index of that row.
@@ -147,13 +141,8 @@ def _check_axioms(adds: Sequence[Table], a, m) -> int:
              flat_m.take(sn[..., None, None] + gm[:, None]))
     # Where the laws hold no row has two zeros, so c*n zeros put n in each
     # table.
-    if (np.count_nonzero(a) == c * n * (n - 1)
-            and (np.concatenate(left, axis=None) == np.concatenate(right, axis=None)).all()):
-        return c
-    bad = (a == 0).reshape(c, -1).sum(axis=1) != n
-    for lhs, rhs in zip(left, right):
-        bad |= (lhs != rhs).reshape(c, -1).any(axis=1)
-    return int(bad.argmax())
+    return bool(np.count_nonzero(a) == c * n * (n - 1)
+                and (np.concatenate(left, axis=None) == np.concatenate(right, axis=None)).all())
 
 
 # Below this order the tables fit one chunk, and a violation is reported at
@@ -312,20 +301,28 @@ def from_products(
     products[i * k + j] is gen_i * gen_j, for k = len(typ), so x * y is the
     sum over i, j of (x_i * y_j mod gcd(typ[i], typ[j])) * products[i * k + j].
     """
+    _check_order(math.prod(typ))
+    mul = _bilinear_tables(typ, [products])[0]
+    return make_ring(addgroup.std_arrays(typ)[0], mul, label, element_names)
+
+
+def _bilinear_tables(typ: tuple[int, ...], products):
+    """The (T, n, n) product tables on the standard group of `typ` that
+    extend each row of the (T, k*k) stack of generator products `products`
+    bilinearly, as `from_products` reads one row."""
     import numpy as np
 
-    _check_order(math.prod(typ))
-    group = addgroup.std_group(typ)
     add, smul, digits = addgroup.std_arrays(typ)
-    k = len(typ)
-    mul = np.zeros((group.order, group.order), dtype=np.int32)
+    products = np.asarray(products, dtype=np.intp)
+    k, n = len(typ), len(add)
+    mul = np.zeros((len(products), n, n), dtype=np.int32)
     for i in range(k):
         for j in range(k):
-            product = products[i * k + j]
-            if product:
+            column = products[:, i * k + j, None, None]
+            if column.any():
                 coeff = np.multiply.outer(digits[:, i], digits[:, j]) % math.gcd(typ[i], typ[j])
-                mul = add[mul, smul[coeff, product]]
-    return make_ring(add, mul, label, element_names)
+                mul = add[mul, smul[coeff, column]]
+    return mul
 
 
 def zn(n: int) -> FiniteRing:
@@ -493,12 +490,13 @@ def direct_sum(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     # Element a * |s| + b is the pair (a, b); axes run a1, b1, a2, b2.
     def table(rt: Table, st: Table):
         cells = np.array(rt)[:, None, :, None] * so + np.array(st)[None, :, None, :]
-        return cells.reshape(n, n)
+        return tuple(map(tuple, cells.reshape(n, n).tolist()))
 
     label = f"{r.label}+{s.label}" if r.label and s.label else None
     names = tuple(f"({r.element_name(a)},{s.element_name(b)})"
                   for a in range(r.order) for b in range(so))
-    return make_ring(table(r.add, s.add), table(r.mul, s.mul), label=label, element_names=names)
+    # A direct sum of two rings is a ring, so its tables need no check.
+    return FiniteRing(n, table(r.add, s.add), table(r.mul, s.mul), label, names)
 
 
 def matrix_ring(r: FiniteRing, k: int) -> FiniteRing:
@@ -592,8 +590,13 @@ def subring_generated(ring: FiniteRing, gens: Iterable[int]) -> GeneratedSubring
     """Closure of `gens` under +, -, and *, reindexed from 0 with an embedding.
 
     The product is bilinear, so an additive span is closed under * once it
-    holds the product of every two of its kept seeds.
+    holds the product of every two of its kept seeds.  A generator outside
+    [0, n) raises ValueError.
     """
+    gens = list(gens)
+    for x in gens:
+        if not isinstance(x, int) or not 0 <= x < ring.order:
+            raise ValueError(f"generator {x!r} not in [0, {ring.order})")
     kept, members = addgroup.span(ring.add, gens)
     while True:
         inside = set(members)
@@ -737,43 +740,24 @@ def parse_ringtab(text: str) -> FiniteRing:
 
 def _read_ringtabs(texts: Sequence[str], n: int):
     """The labels and the (2, b, n, n) stack of add and mul tables of the
-    first b texts that read, as parse_ringtab reads them, as tables of order
-    n with entries in [0, n); the reading stops at the first text that does
-    not.  When every text is in the written form, all rows are read with one
-    np.fromstring; otherwise text by text.
+    texts, as parse_ringtab reads them, with all rows read by one
+    np.fromstring; None unless every text is a ringtab of order n whose
+    tables are in the written form with entries in [0, n).
     """
-    import numpy as np
-
     labels, add_rows, mul_rows = [], [], []
     for text in texts:
         try:
             label, order, lines, pos = _ringtab_head(text)
         except FormatError:
-            break
+            return None
         if (order != n or len(lines) != pos + 2 * n + 2 or lines[pos] != "add"
                 or lines[pos + n + 1] != "mul"):
-            break
+            return None
         labels.append(label)
         add_rows += lines[pos + 1:pos + n + 1]
         mul_rows += lines[pos + n + 2:]
-    if texts and len(labels) == len(texts):
-        stack = _read_block(add_rows + mul_rows, n)
-        if stack is not None:
-            return labels, stack.reshape(2, -1, n, n)
-    labels, adds, muls = [], [], []
-    for text in texts:
-        try:
-            label, add, mul = _read_ringtab(text)
-            if len(add) != n:
-                break
-            add, mul = _as_table(add, n, "add")[1], _as_table(mul, n, "mul")[1]
-        except (FormatError, AxiomViolation):
-            break
-        labels.append(label)
-        adds.append(add)
-        muls.append(mul)
-    stack = np.array([adds, muls], dtype=np.min_scalar_type(n - 1))
-    return labels, stack.reshape(2, -1, n, n)
+    stack = _read_block(add_rows + mul_rows, n)
+    return None if stack is None else (labels, stack.reshape(2, -1, n, n))
 
 
 def write_ringtab(ring: FiniteRing, path) -> None:

@@ -387,12 +387,13 @@ def _canonical(ring: FiniteRing) -> tuple[bytes, list[int]]:
     _check_cap(ring, "certificate computation")
     n = ring.order
     mul = np.frombuffer(bytes(itertools.chain.from_iterable(ring.mul)), dtype=np.uint8)
-    return _canonical_stack([ring], mul.reshape(1, n, n))[0]
+    return _canonical_stack([ring.add], mul.reshape(1, n, n))[0]
 
 
-def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list[int]]]:
-    """`_canonical` of each ring in `group`, rings of one order at most
-    STRUCTURAL_CAP whose product tables are the (b, n, n) array `mul`.
+def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list[int]]]:
+    """`_canonical` of each ring whose add table is in `adds` and whose
+    product table is the matching row of the (b, n, n) array `mul`, rings of
+    one order at most STRUCTURAL_CAP.
 
     The rings of one additive type are certified together: one gather
     standardizes their tables, and `_aut_action` relabels them in blocks of
@@ -403,12 +404,12 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
     """
     import numpy as np
 
-    if not group:
+    if not adds:
         return []
     by_type: dict[tuple[int, ...], list[int]] = {}
     firsts = []
-    for i, ring in enumerate(group):
-        typ = addgroup.additive_type(ring.add)
+    for i, add in enumerate(adds):
+        typ = addgroup.additive_type(add)
         count = addgroup.automorphism_count(typ)
         if count > AUTOMORPHISM_BUDGET:
             raise BudgetExceeded(
@@ -416,22 +417,22 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
                 f"automorphisms, beyond the budget of {AUTOMORPHISM_BUDGET}"
             )
         by_type.setdefault(typ, []).append(i)
-        firsts.append(next(addgroup.iter_basis_perms(ring.add, typ)))
+        firsts.append(next(addgroup.iter_basis_perms(add, typ)))
     n = mul.shape[-1]
     width = n * n
     step = max(1, _CERTIFICATE_BLOCK // width)
     # std[t, x, y] = p^-1[mul_t[p[x], p[y]]] for p = firsts[t]: each table
     # read in its first basis, by one gather over the stack.
     perm = np.array(firsts, dtype=np.intp)
-    offsets = np.arange(0, len(group) * n, n)[:, None]
+    offsets = np.arange(0, len(adds) * n, n)[:, None]
     cells = mul.take((perm + offsets)[:, :, None] * n + perm[:, None, :])
     std = np.argsort(perm, axis=1).take(cells + offsets[..., None])
-    out: list[tuple[bytes, list[int]]] = [(b"", [])] * len(group)
+    out: list[tuple[bytes, list[int]]] = [(b"", [])] * len(adds)
     for typ, members in by_type.items():
         autos = addgroup.automorphism_perms(typ)
         header = f"FR1;n={n};t={','.join(map(str, typ))};".encode()
         # `members` ascends, so a type that holds every ring holds them in order.
-        tables = std if len(members) == len(group) else std.take(members, axis=0)
+        tables = std if len(members) == len(adds) else std.take(members, axis=0)
         per_block = max(1, step // len(autos))
         span = min(len(autos), step)
         for t0 in range(0, len(members), per_block):
@@ -452,7 +453,11 @@ def _canonical_stack(group: Sequence[FiniteRing], mul) -> list[tuple[bytes, list
 
 
 def _canonical_ring(cert: bytes) -> FiniteRing:
-    """Rebuild the canonical representative ring encoded by a certificate."""
+    """Rebuild the canonical representative ring encoded by a certificate.
+
+    The certificates decoded here are ones `_canonical_stack` computed: the
+    product table of a ring read in another basis of its additive group.
+    So the tables it encodes are a ring and need no check."""
     import numpy as np
 
     header, _, body = cert.partition(b";t=")
@@ -465,7 +470,7 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
     if group.order != n or len(table_bytes) != n * n:
         raise FormatError("ring certificate does not match its header")
     mul = np.frombuffer(table_bytes, np.uint8).reshape(n, n)
-    return rings.make_ring(addgroup.std_arrays(typ)[0], mul)
+    return FiniteRing(n, group.add, tuple(map(tuple, mul.tolist())))
 
 
 def _aut_action(typ: tuple[int, ...], table, autos: slice, points):

@@ -451,14 +451,16 @@ def test_first_row_mask_is_a_transversal_of_the_stab_orbits():
 
 def test_serial_build_certifies_each_class_once(monkeypatch):
     # Machine-independent counts of a serial build of orders 1..15: one
-    # certificate per class of each prime-power part and per direct sum, and
-    # one make_ring per certified scan table and per decoded certificate.
+    # certificate per class of each prime-power part and per direct sum,
+    # each scan job's kept tables and each order's direct sums certified as
+    # one stack, and one make_ring, for zn(1): the enumeration builds every
+    # other table from rings or from a proof.
     def counting(module, name):
         calls = []
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -466,6 +468,7 @@ def test_serial_build_certifies_each_class_once(monkeypatch):
 
     certificates = counting(structure, "ring_canonical_certificate")
     validations = counting(rings, "make_ring")
+    stacks = counting(structure, "_canonical_stack")
     # Tensors the scan keeps, one first row per Stab(e0) orbit, and one scan
     # per job: each type of a serial build is one job.
     kept = []
@@ -477,13 +480,68 @@ def test_serial_build_certifies_each_class_once(monkeypatch):
         return tensors
 
     monkeypatch.setattr(atlas, "_scan_tensors", counted_scan)
+
+    def counts():
+        return (len(certificates), len(validations), len(stacks),
+                sum(len(adds) for adds, _ in stacks))
+
     assert len(atlas.enumerate_rings(8)) == 52
-    assert (len(certificates), len(validations)) == (52, 104)
+    # Order 8 has three additive types, one scan job each.
+    assert counts() == (0, 0, 3, 52)
+    assert len(kept) == 3
     for n in range(1, 16):
         if n != 8:
             atlas.enumerate_rings(n, cap=15)
-    assert (len(certificates), len(validations)) == (154, 270)
+    assert counts() == (1, 1, 30, 154)
     assert (len(kept), sum(kept)) == (24, 744)
+
+
+def test_enumeration_builds_only_rings(monkeypatch):
+    # The oracle for the tables the enumeration builds without make_ring:
+    # make_ring accepts every row of every scan job's stack (all kept
+    # tensors, not only class representatives), every decoded certificate
+    # and every direct sum of a build of orders 1..15, and the decoded
+    # certificates and direct sums of seeded relabelings of its classes.
+    def recording(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def recorded(*args):
+            result = original(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    stacks = recording(rings, "_bilinear_tables")
+    decoded = recording(structure, "_canonical_ring")
+    sums = recording(rings, "direct_sum")
+    by_order = {n: atlas.enumerate_rings(n, cap=15) for n in range(1, 16)}
+    monkeypatch.undo()
+
+    def assert_ring(ring):
+        assert rings.make_ring(ring.add, ring.mul, ring.label, ring.element_names) == ring
+
+    # The 744 kept tensors of the 24 scan jobs, and zn(1).
+    assert sum(len(tables) for _, tables in stacks) == 745
+    for (typ, tensors), tables in stacks:
+        assert len(tables) == len(tensors)
+        for products, table in zip(tensors, tables):
+            # from_products checks the table with make_ring, on a stack of one.
+            assert rings.from_products(typ, products).mul == tuple(map(tuple, table.tolist()))
+    # Each order decodes the classes of each of its prime-power parts.
+    assert (len(decoded), len(sums)) == (116, 38)
+    for _, ring in decoded + sums:
+        assert_ring(ring)
+    rng = random.Random(22)
+    relabeled = {n: [relabel(e.ring, rng) for e in entries] for n, entries in by_order.items()}
+    for n, copies in relabeled.items():
+        for ring in copies:
+            assert_ring(structure._canonical_ring(structure.ring_canonical_certificate(ring)))
+        for m in range(2, 15 // n + 1):
+            for r, s in itertools.product(copies, relabeled[m]):
+                assert_ring(rings.direct_sum(r, s))
 
 
 @pytest.fixture

@@ -293,13 +293,19 @@ def test_enumeration_reuses_decoded_certificates(monkeypatch):
         return ring
 
     monkeypatch.setattr(structure, "_canonical_ring", recording)
-    calls = counting(monkeypatch, structure, "ring_canonical_certificate")
+    single = counting(monkeypatch, structure, "ring_canonical_certificate")
+    stacks = counting(monkeypatch, structure, "_canonical_stack")
     for n in (4, 8, 9):
         entries = atlas.enumerate_rings(n)
         assert [e.certificate for e in entries] == sorted(e.certificate for e in entries)
-    assert decoded and not any(args[0] is ring for args in calls for ring in decoded)
-    # Composite orders certify each direct sum once.
-    calls.clear()
+    # A serial build scans each additive type as one job, which certifies
+    # each class it meets once: the stacks hold one table per class, so no
+    # decoded ring is certified again.
+    assert not single
+    assert sum(len(adds) for adds, _ in stacks) == len(decoded) == 11 + 52 + 11
+    # Composite orders certify each direct sum once, in one stack.
+    stacks.clear()
     entries = atlas.enumerate_rings(6)
-    sums = [args[0] for args in calls if args[0].order == 6]
-    assert len(sums) == len(entries) == 4
+    sums = [len(adds) for adds, mul in stacks if mul.shape[-1] == 6]
+    assert sums == [len(entries)] == [4]
+    assert not single

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 
@@ -201,6 +202,13 @@ def test_subring_generated():
     assert empty.ring.order == 1
     sub9 = rings.subring_generated(rings.zn(9), {3})
     assert structure.ring_isomorphic(sub9.ring, rings.n0(3, 1)) is not None
+
+
+@pytest.mark.parametrize("gen", [-1, 9, 10**20, 1.0, "3", None])
+def test_subring_generators_out_of_range(gen):
+    # -1 once read as element 8 and gave all of Z9, and 9 an IndexError.
+    with pytest.raises(ValueError, match=rf"^generator {re.escape(repr(gen))} not in \[0, 9\)$"):
+        rings.subring_generated(rings.zn(9), [3, gen])
 
 
 def test_subring_embedding_preserves_tables():

@@ -195,7 +195,7 @@ def _passes_on_generators(add_t, a, m):
     """Whether `_check_axioms` accepts the tables, as a stack of one, without
     the full scan."""
     with mock.patch.object(rings, "_scan_axioms") as full_scan:
-        passed = rings._check_axioms((add_t,), a[None], m[None]) == 1
+        passed = rings._check_axioms((add_t,), a[None], m[None])
     assert not full_scan.called
     return passed
 
@@ -254,20 +254,20 @@ def _stack(pairs):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12])
 def test_stacked_check_stops_at_the_first_table_that_is_no_ring(n):
-    # The rings of order n have from 0 to 3 generators, so the stack pads
-    # them; each corrupted copy goes in at a seeded position.
+    # The check is all or nothing: a stack of rings passes, and one table
+    # that is no ring, at a seeded position, fails the whole stack.  The
+    # rings of order n have from 0 to 3 generators, so the stack pads them.
     rnd = random.Random(n)
     valid = [(e.ring.add, e.ring.mul) for e in atlas.enumerate_rings(n, cap=12)]
     adds, a, m = _stack(valid)
-    assert rings._check_axioms(adds, a, m) == len(valid)
+    assert rings._check_axioms(adds, a, m) is True
     faulty = [(add, mul) for ring in _base_rings(n) for _, add, mul in _corruptions(ring, rnd, 3)
               if _violation(add, mul)]
     assert faulty or n == 1
     for add, mul in faulty:
         pos = rnd.randrange(len(valid) + 1)
-        pairs = valid[:pos] + [(add, mul)] + valid[pos:] + faulty[:1]
-        adds, a, m = _stack(pairs)
-        assert rings._check_axioms(adds, a, m) == pos
+        adds, a, m = _stack(valid[:pos] + [(add, mul)] + valid[pos:])
+        assert rings._check_axioms(adds, a, m) is False
 
 
 def _magma_closure(add, elements):
