@@ -458,6 +458,8 @@ def load_atlas(path) -> list[AtlasEntry]:
             if recomputed == certs:
                 return [AtlasEntry(FiniteRing(order, a, tuple(map(tuple, m)), label), cert)
                         for a, m, label, cert in zip(adds, mul.tolist(), labels, certs)]
+    # Entry by entry, in file order, the first faulty entry raises its own
+    # error; a valid file not in the written form loads here.
     entries = []
     for cert, block in zip(certs, blocks):
         ring = rings.parse_ringtab(block)

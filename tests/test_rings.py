@@ -206,7 +206,8 @@ def test_subring_generated():
 
 @pytest.mark.parametrize("gen", [-1, 9, 10**20, 1.0, "3", None])
 def test_subring_generators_out_of_range(gen):
-    # -1 once read as element 8 and gave all of Z9, and 9 an IndexError.
+    # Read as raw indices, -1 would be element 8 and give all of Z9, and 9
+    # would raise a bare IndexError.
     with pytest.raises(ValueError, match=rf"^generator {re.escape(repr(gen))} not in \[0, 9\)$"):
         rings.subring_generated(rings.zn(9), [3, gen])
 
