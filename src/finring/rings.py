@@ -680,30 +680,9 @@ def _ringtab_head(text: str) -> tuple[str | None, int, list[str], int]:
     return label, n, lines, pos
 
 
-def _read_block(rows: list[str], n: int):
-    """Rows in the written form, n ASCII digit runs split by single spaces,
-    as one array of shape (len(rows) // n, n, n) in the type `make_ring`
-    keeps; None for any other text, and for an entry of n or more.
-
-    int64 saturates an over-long token, so it fails the range check, and
-    the array is cast at once, so no int64 copy outlives the read.
-    """
-    import numpy as np
-
-    joined = " ".join(rows)
-    if (rows and joined.isascii() and "  " not in joined
-            and not joined.encode().translate(None, b"0123456789 ")
-            and all(row.count(" ") == n - 1 for row in rows)):
-        table = np.fromstring(joined, dtype=np.int64, sep=" ")
-        if table.max() < n:
-            return table.astype(np.min_scalar_type(n - 1)).reshape(-1, n, n)
-    return None
-
-
 def _read_ringtab(text: str):
-    """The label and the add and mul tables of a ringtab text, each an array
-    from `_read_block` or, for any other text, rows read token by token
-    through int(), which names the fault."""
+    """The label and the add and mul tables of a ringtab text, rows read
+    token by token through int(), which names the fault."""
     label, n, lines, pos = _ringtab_head(text)
 
     def read_table(header: str):
@@ -714,10 +693,6 @@ def _read_ringtab(text: str):
         pos += 1
         if got != header:
             raise FormatError(f"expected '{header}' section, found {got!r}")
-        block = _read_block(lines[pos:pos + n], n) if 0 < n <= len(lines) - pos else None
-        if block is not None:
-            pos += n
-            return block[0]
         table = []
         for _ in range(n):
             if pos >= len(lines):
@@ -734,30 +709,49 @@ def _read_ringtab(text: str):
 
 
 def parse_ringtab(text: str) -> FiniteRing:
-    label, add, mul = _read_ringtab(text)
+    read = _read_ringtabs([text])
+    if read is None:
+        label, add, mul = _read_ringtab(text)
+    else:
+        (label,), ((add,), (mul,)) = read
     return make_ring(add, mul, label=label)
 
 
-def _read_ringtabs(texts: Sequence[str], n: int):
+def _read_ringtabs(texts: Sequence[str], n: int | None = None):
     """The labels and the (2, b, n, n) stack of add and mul tables of the
-    texts, as parse_ringtab reads them, with all rows read by one
-    np.fromstring; None unless every text is a ringtab of order n whose
-    tables are in the written form with entries in [0, n).
+    texts, in the type make_ring keeps, with all rows read by one
+    np.fromstring; None unless every text is a ringtab of order n, by
+    default the first text's, whose tables are in the written form: rows of
+    n ASCII digit runs split by single spaces, with entries in [0, n).
+
+    int64 saturates an over-long token, so it fails the range check, and
+    the array is cast at once, so no int64 copy outlives the read.
     """
+    import numpy as np
+
     labels, add_rows, mul_rows = [], [], []
     for text in texts:
         try:
             label, order, lines, pos = _ringtab_head(text)
         except FormatError:
             return None
+        n = order if n is None else n
         if (order != n or len(lines) != pos + 2 * n + 2 or lines[pos] != "add"
                 or lines[pos + n + 1] != "mul"):
             return None
         labels.append(label)
         add_rows += lines[pos + 1:pos + n + 1]
         mul_rows += lines[pos + n + 2:]
-    stack = _read_block(add_rows + mul_rows, n)
-    return None if stack is None else (labels, stack.reshape(2, -1, n, n))
+    rows = add_rows + mul_rows
+    joined = " ".join(rows)
+    if not (rows and joined.isascii() and "  " not in joined
+            and not joined.encode().translate(None, b"0123456789 ")
+            and all(row.count(" ") == n - 1 for row in rows)):
+        return None
+    stack = np.fromstring(joined, dtype=np.int64, sep=" ")
+    if stack.max() >= n:
+        return None
+    return labels, stack.astype(np.min_scalar_type(n - 1)).reshape(2, -1, n, n)
 
 
 def write_ringtab(ring: FiniteRing, path) -> None:

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from . import atlas, freealg, graphs, rings, structure
 from .errors import FormatError
 
-SCENARIO_NAMES = (
-    "cor1",
-    "prop5",
-    "prop4-counterexample",
-    "tn4-identities",
-    "theorem3-shape",
-)
+# Command-line name -> runner, called with the prime and the atlas cache.
+_RUNNERS = {
+    "cor1": lambda p, cache: cor1(cache),
+    "prop5": lambda p, cache: prop5(p),
+    "prop4-counterexample": lambda p, cache: prop4_counterexample(cache),
+    "tn4-identities": lambda p, cache: tn4_identities(),
+    "theorem3-shape": lambda p, cache: theorem3_shape(cache),
+}
+SCENARIO_NAMES = tuple(_RUNNERS)
 
 
 @dataclass
@@ -265,15 +267,6 @@ def theorem3_shape(cache: AtlasCache) -> ScenarioResult:
 
 def run(name: str, *, p: int = 2, cache: AtlasCache | None = None) -> ScenarioResult:
     """Dispatch a scenario by its command-line name."""
-    cache = cache or AtlasCache()
-    if name == "cor1":
-        return cor1(cache)
-    if name == "prop5":
-        return prop5(p)
-    if name == "prop4-counterexample":
-        return prop4_counterexample(cache)
-    if name == "tn4-identities":
-        return tn4_identities()
-    if name == "theorem3-shape":
-        return theorem3_shape(cache)
-    raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+    return _RUNNERS[name](p, cache or AtlasCache())

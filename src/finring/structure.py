@@ -259,23 +259,20 @@ def _find_split(
 def decompose(ring: FiniteRing) -> list[Ideal]:
     """A finest splitting of the ring into direct summand ideals.
 
-    Greedily splits components against complementary ideal pairs; a singleton
-    result means the ring is indecomposable.  Components come back sorted by
-    (size, certificate) so the output is deterministic; a certificate is
-    computed only for a component whose size another one shares.
+    Splits the ring, then each part, recursively against complementary ideal
+    pairs until no part splits; a singleton result means the ring is
+    indecomposable.  Components come back sorted by (size, certificate) so
+    the output is deterministic; a certificate is computed only for a
+    component whose size another one shares.
     """
     _check_cap(ring, "decomposition")
     lattice = [frozenset(i.members) for i in ideals(ring)]
-    components = [frozenset(range(ring.order))]
-    done = False
-    while not done:
-        done = True
-        for ci, comp in enumerate(components):
-            split = _find_split(ring, lattice, comp)
-            if split:
-                components[ci: ci + 1] = [split[0], split[1]]
-                done = False
-                break
+
+    def finest(comp: frozenset[int]) -> list[frozenset[int]]:
+        split = _find_split(ring, lattice, comp)
+        return [comp] if split is None else finest(split[0]) + finest(split[1])
+
+    components = finest(frozenset(range(ring.order)))
     sizes = Counter(map(len, components))
 
     def sort_key(s: frozenset[int]):

@@ -750,8 +750,12 @@ def test_batch_load_reports_the_first_faulty_entry(tmp_path, atlas_by_order, wri
             put_first(blocks, i)
             put_second(blocks, j)
             if not written_form:
-                # A comment line takes every block off the one-read path.
-                blocks[5] = "# comment\n" + blocks[5]
+                # A tab inside a row takes every block off the one-read path.
+                lines = blocks[5].split("\n")
+                row = lines.index("add") + 1
+                lines[row] = lines[row].replace(" ", "\t", 1)
+                blocks[5] = "\n".join(lines)
+                assert rings._read_ringtabs(blocks, 4) is None
             path.write_text(head + "\n\n" + "\n\n".join(blocks), encoding="utf-8")
             expected = failure(reference_load, path)
             assert expected is not None

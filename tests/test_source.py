@@ -1,0 +1,33 @@
+"""Checks on the source of the finring package itself."""
+
+import ast
+import pathlib
+
+import finring
+
+PACKAGE = pathlib.Path(finring.__file__).resolve().parent
+
+
+def _private_definitions_and_uses():
+    """(module, name, node) for each private module-level function or class,
+    and, per module-level statement, the names that statement reads."""
+    defined, uses = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((path.stem, node.name, node))
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            uses.append((node, names))
+    return defined, uses
+
+
+def test_every_private_helper_is_used_outside_its_own_definition():
+    # A helper that a change leaves without callers fails here; a recursive
+    # call inside its own body does not count as a use.
+    defined, uses = _private_definitions_and_uses()
+    assert defined
+    unused = [f"{module}.{name}" for module, name, node in defined
+              if not any(name in names for other, names in uses if other is not node)]
+    assert unused == []

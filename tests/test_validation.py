@@ -504,8 +504,9 @@ def test_array_tables_match_the_per_entry_loop(dtype, i, j, v):
 
 # --- the ringtab block read ------------------------------------------------------
 #
-# Tables in the written form are read as one block per section; anything else
-# goes through `rings._ringtab_row`, token by token.
+# A text whose tables are both in the written form is read as one block, as an
+# atlas of one entry; anything else goes through `rings._ringtab_row`, token by
+# token.
 
 
 def _z4_edit(section, i, new_row):
@@ -630,7 +631,17 @@ def test_written_ringtabs_never_reach_the_per_token_read(monkeypatch, build):
     def per_token(line, header):
         raise AssertionError("per-token read reached")
 
+    reads = []
+    fromstring = np.fromstring
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return fromstring(*args, **kwargs)
+
     monkeypatch.setattr(rings, "_ringtab_row", per_token)
+    monkeypatch.setattr(np, "fromstring", counted)
     ring = build()
     parsed = rings.parse_ringtab(rings.format_ringtab(ring))
     assert (parsed.add, parsed.mul, parsed.label) == (ring.add, ring.mul, ring.label)
+    # Both sections in one read, as an atlas of one entry.
+    assert len(reads) == 1
