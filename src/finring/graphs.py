@@ -289,7 +289,7 @@ def parse_dot(text: str) -> SimpleGraph:
     """Read the subset of DOT that export_dot emits."""
     # Split at \n alone, as parse_ringtab does, so a form feed or another
     # Unicode line break inside a statement or a label stays in it.
-    lines = [line.strip() for line in text.split("\n") if line.strip()]
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
     if not lines or lines[0] not in ("graph {", "graph{"):
         raise FormatError("expected a 'graph {' header")
     if lines[-1] != "}":

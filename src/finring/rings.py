@@ -533,11 +533,11 @@ def ideal_members(ring: FiniteRing, ideal: object) -> tuple[int, ...]:
     owner = getattr(ideal, "ring", None)
     if owner is not None and owner is not ring and owner != ring:
         raise NotAnIdeal("ideal belongs to a different ring")
-    raw = getattr(ideal, "members", ideal)
-    members = sorted(set(raw))
-    if any(not isinstance(x, int) or not 0 <= x < ring.order for x in members):
+    inside = set(getattr(ideal, "members", ideal))
+    # Check the members before sorting them: sorted() fails on mixed types.
+    if any(not isinstance(x, int) or not 0 <= x < ring.order for x in inside):
         raise NotAnIdeal(f"members out of range for order {ring.order}")
-    inside = set(members)
+    members = sorted(inside)
     if 0 not in inside:
         raise NotAnIdeal("an ideal must contain 0")
     for a in members:
@@ -650,14 +650,11 @@ def _ringtab_row(line: str, header: str) -> list[int]:
 
 
 def _ringtab_head(text: str) -> tuple[str | None, int, list[str], int]:
-    """The label and order of a ringtab text, its lines without blanks and
-    comments, and the index of the section line after the label: the
-    checks parse_ringtab makes before it reads a table."""
-    lines = [
-        line.strip()
-        for line in text.split("\n")
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    """The label and order of a ringtab text, its lines stripped once and
+    without blanks and comments, and the index of the section line after
+    the label: the checks parse_ringtab makes before it reads a table."""
+    lines = [line for line in map(str.strip, text.split("\n"))
+             if line and not line.startswith("#")]
     if not lines:
         raise FormatError("unexpected end of ringtab input")
     if lines[0] != "ringtab 1":
@@ -681,30 +678,26 @@ def _ringtab_head(text: str) -> tuple[str | None, int, list[str], int]:
 
 
 def _read_ringtab(text: str):
-    """The label and the add and mul tables of a ringtab text, rows read
-    token by token through int(), which names the fault."""
+    """The label and the add and mul tables of a ringtab text, read section
+    by section: the section line, then the next n lines as one slice, each
+    row read token by token through int(), which names the fault before a
+    short section is reported."""
     label, n, lines, pos = _ringtab_head(text)
-
-    def read_table(header: str):
-        nonlocal pos
+    tables = []
+    for header in ("add", "mul"):
         if pos >= len(lines):
             raise FormatError("unexpected end of ringtab input")
-        got = lines[pos]
-        pos += 1
-        if got != header:
-            raise FormatError(f"expected '{header}' section, found {got!r}")
-        table = []
-        for _ in range(n):
-            if pos >= len(lines):
-                raise FormatError("unexpected end of ringtab input")
-            table.append(_ringtab_row(lines[pos], header))
-            pos += 1
-        return table
-
-    add = read_table("add")
-    mul = read_table("mul")
+        if lines[pos] != header:
+            raise FormatError(f"expected '{header}' section, found {lines[pos]!r}")
+        # A negative order reads no rows, and a negative slice end would.
+        rows = [_ringtab_row(line, header) for line in lines[pos + 1:pos + 1 + max(n, 0)]]
+        if len(rows) < n:
+            raise FormatError("unexpected end of ringtab input")
+        tables.append(rows)
+        pos += 1 + len(rows)
     if pos != len(lines):
         raise FormatError(f"trailing content after mul table: {lines[pos]!r}")
+    add, mul = tables
     return label, add, mul
 
 

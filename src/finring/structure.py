@@ -428,8 +428,7 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     for typ, members in by_type.items():
         autos = addgroup.automorphism_perms(typ)
         header = f"FR1;n={n};t={','.join(map(str, typ))};".encode()
-        # `members` ascends, so a type that holds every ring holds them in order.
-        tables = std if len(members) == len(adds) else std.take(members, axis=0)
+        tables = std.take(members, axis=0)
         per_block = max(1, step // len(autos))
         span = min(len(autos), step)
         for t0 in range(0, len(members), per_block):

@@ -195,6 +195,16 @@ def test_quotient_rejects_non_ideal():
         rings.quotient(rings.zn(9), [3, 6])  # missing zero
 
 
+@pytest.mark.parametrize("member", ["3", None, 3.0, 9, -1])
+def test_quotient_names_members_of_another_type_or_range(member):
+    # Members that cannot be sorted with ints are named, not a TypeError.
+    from finring.errors import NotAnIdeal
+
+    with pytest.raises(NotAnIdeal) as exc:
+        rings.quotient(rings.zn(9), [0, member])
+    assert str(exc.value) == "members out of range for order 9"
+
+
 def test_subring_generated():
     sub = rings.subring_generated(rings.zn(4), {2})
     assert structure.ring_isomorphic(sub.ring, rings.n0(2, 1)) is not None

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from finring import addgroup, atlas, cli, rings
-from finring.errors import AxiomViolation, FormatError
+from finring.errors import AxiomViolation, FinringError, FormatError
 
 from test_certificates import relabel
 from test_golden import FAMILY_GRID_SHA256
@@ -645,3 +645,136 @@ def test_written_ringtabs_never_reach_the_per_token_read(monkeypatch, build):
     assert (parsed.add, parsed.mul, parsed.label) == (ring.add, ring.mul, ring.label)
     # Both sections in one read, as an atlas of one entry.
     assert len(reads) == 1
+
+
+# --- the token read against the reader it replaced -------------------------------
+#
+# The references are `rings._ringtab_row`, `_ringtab_head` and `_read_ringtab`
+# as they were when each line was stripped twice and the sections were read by a
+# closure that moved a cursor one row at a time: verbatim but for their names.
+
+
+def _reference_ringtab_row(line: str, header: str) -> list[int]:
+    """One row of a ringtab table, read token by token through int()."""
+    try:
+        return list(map(int, line.split()))
+    except ValueError:
+        raise FormatError(f"non-integer entry in {header} table") from None
+
+
+def _reference_ringtab_head(text: str) -> tuple[str | None, int, list[str], int]:
+    lines = [
+        line.strip()
+        for line in text.split("\n")
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if not lines:
+        raise FormatError("unexpected end of ringtab input")
+    if lines[0] != "ringtab 1":
+        raise FormatError("missing 'ringtab 1' magic line")
+    if len(lines) < 2:
+        raise FormatError("unexpected end of ringtab input")
+    if not lines[1].startswith("order "):
+        raise FormatError("expected 'order <n>' line")
+    try:
+        n = int(lines[1].split(None, 1)[1])
+    except (IndexError, ValueError):
+        raise FormatError("bad order line") from None
+    pos = 2
+    label = None
+    if pos < len(lines) and lines[pos].startswith("label "):
+        label = lines[pos].split(None, 1)[1]
+        pos += 1
+    if pos >= len(lines):
+        raise FormatError("unexpected end of ringtab input")
+    return label, n, lines, pos
+
+
+def _reference_read_ringtab(text: str):
+    label, n, lines, pos = _reference_ringtab_head(text)
+
+    def read_table(header: str):
+        nonlocal pos
+        if pos >= len(lines):
+            raise FormatError("unexpected end of ringtab input")
+        got = lines[pos]
+        pos += 1
+        if got != header:
+            raise FormatError(f"expected '{header}' section, found {got!r}")
+        table = []
+        for _ in range(n):
+            if pos >= len(lines):
+                raise FormatError("unexpected end of ringtab input")
+            table.append(_reference_ringtab_row(lines[pos], header))
+            pos += 1
+        return table
+
+    add = read_table("add")
+    mul = read_table("mul")
+    if pos != len(lines):
+        raise FormatError(f"trailing content after mul table: {lines[pos]!r}")
+    return label, add, mul
+
+
+def _reference_parse_ringtab(text):
+    label, add, mul = _reference_read_ringtab(text)
+    return rings.make_ring(add, mul, label=label)
+
+
+def _read_outcome(read, text):
+    """What `read` makes of `text`: its value, or the exception type and text."""
+    try:
+        return read(text)
+    except FinringError as exc:
+        return type(exc), str(exc)
+
+
+# Characters a mutation inserts: digits, the whitespace that str.strip and
+# str.split take but "\n" does not end a line at, the signs and underscore that
+# int() reads, the comment mark, a letter and a non-ASCII digit.
+_MUTATION_ALPHABET = "0123456789 \t\x0c\r\n_+-#x\u0662"
+
+
+def _mutated(text, rng):
+    """`text` after one to three character inserts or deletes, line drops or
+    line duplicates."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        i = rng.randrange(len(text) + 1)
+        lines = text.split("\n")
+        j = rng.randrange(len(lines))
+        if kind == 0:
+            text = text[:i] + rng.choice(_MUTATION_ALPHABET) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            lines[j:j + 1] = [] if kind == 2 else [lines[j], lines[j]]
+            text = "\n".join(lines)
+    return text
+
+
+def test_seeded_ringtab_mutations_read_as_before():
+    seeds = [rings.format_ringtab(ring) for ring in (
+        rings.zn(4), rings.gf(2, 2), rings.zn(1), rings.zn(3), rings.matrix_ring(rings.zn(2), 2))]
+    # Heads of orders no ring has, over the 34 table lines of M2(Z2): an order
+    # of -20 must read no rows, though a slice that ends 20 lines before the
+    # section line would hold 16.
+    body = seeds[-1][seeds[-1].index("\nadd\n"):]
+    seeds += [f"ringtab 1\norder {n}{body}" for n in (-1, -20, 0, 99999999999)]
+    seeds.append("# Z2, laid out by hand\nringtab 1\n\n  order 2\nlabel Z2\n\t# sums\nadd\n"
+                 " 0 1\n1 0  \n\nmul\n  # products\n0 0\n\t0 1\n\n# end\n")
+    rng = random.Random(24)
+    texts = seeds + [_mutated(text, rng) for text in seeds for _ in range(200)]
+    parsed = 0
+    for text in texts:
+        expected = _read_outcome(_reference_parse_ringtab, text)
+        got = _read_outcome(rings.parse_ringtab, text)
+        if isinstance(expected, rings.FiniteRing):
+            parsed += 1
+            expected = expected.add, expected.mul, expected.label
+            got = (got.add, got.mul, got.label) if isinstance(got, rings.FiniteRing) else got
+        assert got == expected, text
+        assert _read_outcome(rings._read_ringtab, text) == \
+            _read_outcome(_reference_read_ringtab, text), text
+    # Both outcomes occur: some texts are rings and most are faults.
+    assert 0 < parsed < len(texts) // 2
