@@ -689,7 +689,7 @@ def _read_ringtab(text: str):
             raise FormatError("unexpected end of ringtab input")
         if lines[pos] != header:
             raise FormatError(f"expected '{header}' section, found {lines[pos]!r}")
-        # A negative order reads no rows, and a negative slice end would.
+        # A negative order reads no rows; a negative slice end counts from the end.
         rows = [_ringtab_row(line, header) for line in lines[pos + 1:pos + 1 + max(n, 0)]]
         if len(rows) < n:
             raise FormatError("unexpected end of ringtab input")

@@ -729,9 +729,9 @@ def _read_outcome(read, text):
         return type(exc), str(exc)
 
 
-# Characters a mutation inserts: digits, the whitespace that str.strip and
-# str.split take but "\n" does not end a line at, the signs and underscore that
-# int() reads, the comment mark, a letter and a non-ASCII digit.
+# Characters a mutation inserts: digits, whitespace that str.strip and
+# str.split take (only "\n" ends a line), the signs and underscore that int()
+# reads, the comment mark, a letter and a non-ASCII digit that int() reads.
 _MUTATION_ALPHABET = "0123456789 \t\x0c\r\n_+-#x\u0662"
 
 
