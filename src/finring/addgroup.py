@@ -9,6 +9,7 @@ the first factor most significant.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -99,33 +100,25 @@ def generators(add: Sequence[Sequence[int]]) -> list[int]:
 def additive_type(add: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant cyclic decomposition: prime-power orders, sorted descending.
 
-    Works from the subgroup sizes |{x : p^i x = 0}|, which determine the
-    number of cyclic factors of each order p^i.
+    Read off the element orders: in the p-part, the elements whose order
+    divides p^i number p^(r_1 + ... + r_i), where r_i counts the cyclic
+    factors of order at least p^i, so r_i - r_(i+1) factors have order p^i.
     """
-    n = len(add)
+    orders = Counter(additive_orders(add))
     typ: list[int] = []
-    for p in prime_factors(n):
-        pmul = [0] * n
-        for _ in range(p):
-            pmul = [add[v][x] for x, v in enumerate(pmul)]
-        sizes = [1]
-        action = list(range(n))
-        while True:
-            action = [pmul[v] for v in action]
-            killed = action.count(0)
-            if killed == sizes[-1]:
-                break
-            sizes.append(killed)
+    for p in prime_factors(len(add)):
         ranks = []
-        for i in range(1, len(sizes)):
-            q, r = sizes[i] // sizes[i - 1], 0
-            while q > 1:
-                q //= p
+        killed, size, q = 1, 1, p
+        while orders[q]:
+            killed += orders[q]
+            r = 0
+            while size < killed:
+                size *= p
                 r += 1
             ranks.append(r)
-        for i, r in enumerate(ranks):
-            exact = r - (ranks[i + 1] if i + 1 < len(ranks) else 0)
-            typ.extend([p ** (i + 1)] * exact)
+            q *= p
+        for i, (r, above) in enumerate(zip(ranks, ranks[1:] + [0]), start=1):
+            typ.extend([p**i] * (r - above))
     typ.sort(reverse=True)
     return tuple(typ)
 

@@ -533,8 +533,12 @@ def ideal_members(ring: FiniteRing, ideal: object) -> tuple[int, ...]:
     owner = getattr(ideal, "ring", None)
     if owner is not None and owner is not ring and owner != ring:
         raise NotAnIdeal("ideal belongs to a different ring")
-    inside = set(getattr(ideal, "members", ideal))
-    # Check the members before sorting them: sorted() fails on mixed types.
+    # set() fails on unhashable members or an ideal that is not iterable, and
+    # sorted() on members of mixed types, so both are checked before sorting.
+    try:
+        inside = set(getattr(ideal, "members", ideal))
+    except TypeError:
+        raise NotAnIdeal(f"members out of range for order {ring.order}") from None
     if any(not isinstance(x, int) or not 0 <= x < ring.order for x in inside):
         raise NotAnIdeal(f"members out of range for order {ring.order}")
     members = sorted(inside)

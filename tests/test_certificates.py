@@ -309,3 +309,38 @@ def test_enumeration_reuses_decoded_certificates(monkeypatch):
     sums = [len(adds) for adds, mul in stacks if mul.shape[-1] == 6]
     assert sums == [len(entries)] == [4]
     assert not single
+
+
+def test_serial_build_reads_each_add_table_once(monkeypatch):
+    # Of the 154 tables a serial build of orders 1-15 certifies, the 24 scan
+    # jobs share one standard group each, each of the 6 pairs of part types
+    # of a composite order shares one direct-sum table, and the zero ring
+    # has its own: 31 distinct add tables.  The automorphism rows of each
+    # type are built first, as their bases are not reads of a ring.
+    for n in range(1, 16):
+        for typ in atlas.abelian_group_types(n, cap=15):
+            addgroup.automorphism_perms(typ)
+    types = counting(monkeypatch, addgroup, "additive_type")
+    bases = counting(monkeypatch, addgroup, "iter_basis_perms")
+    stacks = counting(monkeypatch, structure, "_canonical_stack")
+    for n in range(1, 16):
+        atlas.enumerate_rings(n, cap=15)
+    assert sum(len(adds) for adds, _ in stacks) == 154
+    assert len(types) == len(bases) == 31
+
+
+def test_stack_with_shared_add_tables_matches_each_ring(atlas_by_order):
+    # One scan job's tables share the standard group of (2, 2, 2), and the
+    # copies relabeled by one permutation share one add table per type.
+    typ = (2, 2, 2)
+    add = addgroup.std_group(typ).add
+    tensors = atlas._scan_tensors(typ, atlas._first_rows(typ))
+    scanned = [rings.FiniteRing(8, add, tuple(map(tuple, mul)))
+               for mul in rings._bilinear_tables(typ, tensors).tolist()]
+    copies = [relabel(entry.ring, random.Random(9)) for entry in atlas_by_order[8]]
+    stack = scanned + copies
+    random.Random(10).shuffle(stack)
+    assert len({ring.add for ring in stack}) == 4
+    mul = np.array([ring.mul for ring in stack], dtype=np.uint8)
+    got = structure._canonical_stack([ring.add for ring in stack], mul)
+    assert got == [structure._canonical(ring) for ring in stack]

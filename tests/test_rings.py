@@ -195,13 +195,18 @@ def test_quotient_rejects_non_ideal():
         rings.quotient(rings.zn(9), [3, 6])  # missing zero
 
 
-@pytest.mark.parametrize("member", ["3", None, 3.0, 9, -1])
-def test_quotient_names_members_of_another_type_or_range(member):
-    # Members that cannot be sorted with ints are named, not a TypeError.
+@pytest.mark.parametrize(
+    "ideal",
+    [[0, "3"], [0, None], [0, 3.0], [0, 9], [0, -1], [0, [3]], [0, {3}], 5, None],
+    ids=["3", "None", "3.0", "9", "-1", "[3]", "{3}", "ideal 5", "ideal None"],
+)
+def test_quotient_names_members_of_another_type_or_range(ideal):
+    # Members that cannot be sorted with ints or hashed, and an ideal that is
+    # not a collection, are named, not a TypeError.
     from finring.errors import NotAnIdeal
 
     with pytest.raises(NotAnIdeal) as exc:
-        rings.quotient(rings.zn(9), [0, member])
+        rings.quotient(rings.zn(9), ideal)
     assert str(exc.value) == "members out of range for order 9"
 
 

@@ -31,3 +31,26 @@ def test_every_private_helper_is_used_outside_its_own_definition():
     unused = [f"{module}.{name}" for module, name, node in defined
               if not any(name in names for other, names in uses if other is not node)]
     assert unused == []
+
+
+def test_every_import_is_used():
+    # A module-level import that its module never names fails here, unless
+    # the module re-exports it through __all__.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in named and name not in exported:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []

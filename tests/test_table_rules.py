@@ -1,8 +1,9 @@
 """Each table rule has one owner; these tests hold it to the copies it replaced.
 
-`addgroup.multiples` replaced three walks along 0, x, 2x, ...: the loop of
-`additive_orders`, the `mults` closure of `iter_basis_perms` and
-`freealg._scalar_action`.  The atlas's orbit dedup now reads the orbit of a
+`addgroup.multiples` replaced four walks along 0, x, 2x, ...: the loop of
+`additive_orders`, the `mults` closure of `iter_basis_perms`,
+`freealg._scalar_action` and the repeated multiplication by p of
+`additive_type`.  The atlas's orbit dedup now reads the orbit of a
 scanned table through the certificate's action phi^-1 . T instead of its own
 phi . T gather.  The references below are the replaced copies, verbatim but
 for their names.
@@ -17,7 +18,7 @@ import pytest
 from finring import addgroup, atlas, rings, structure
 from finring import freealg as fa
 
-from test_certificates import relabel
+from test_certificates import power, relabel
 
 COEFFICIENTS = (-(10**18) - 1, -257, -256, -7, -1, 0, 1, 2, 3, 5, 255, 256, 257, 10**20 + 3)
 
@@ -65,6 +66,58 @@ def reference_basis_perms(add, typ):
                 yield from rec(i + 1, new)
 
     yield from rec(0, [0])
+
+
+def reference_additive_type(add):
+    n = len(add)
+    typ = []
+    for p in addgroup.prime_factors(n):
+        pmul = [0] * n
+        for _ in range(p):
+            pmul = [add[v][x] for x, v in enumerate(pmul)]
+        sizes = [1]
+        action = list(range(n))
+        while True:
+            action = [pmul[v] for v in action]
+            killed = action.count(0)
+            if killed == sizes[-1]:
+                break
+            sizes.append(killed)
+        ranks = []
+        for i in range(1, len(sizes)):
+            q, r = sizes[i] // sizes[i - 1], 0
+            while q > 1:
+                q //= p
+                r += 1
+            ranks.append(r)
+        for i, r in enumerate(ranks):
+            exact = r - (ranks[i + 1] if i + 1 < len(ranks) else 0)
+            typ.extend([p ** (i + 1)] * exact)
+    typ.sort(reverse=True)
+    return tuple(typ)
+
+
+def abelian_types_up_to(n_max):
+    """Every abelian type of order at most n_max, one partition of each
+    prime's exponent per factor."""
+
+    def partitions(e, top):
+        if e == 0:
+            yield ()
+        for k in range(min(e, top), 0, -1):
+            for rest in partitions(e - k, k):
+                yield (k,) + rest
+
+    types = []
+    for n in range(1, n_max + 1):
+        parts = []
+        for p in addgroup.prime_factors(n):
+            e = 0
+            while n % p**(e + 1) == 0:
+                e += 1
+            parts.append([[p**k for k in part] for part in partitions(e, e)])
+        types += [tuple(sorted(sum(combo, []), reverse=True)) for combo in itertools.product(*parts)]
+    return types
 
 
 def reference_scalar_action(ring, coeff, x):
@@ -138,3 +191,17 @@ def test_both_actions_give_one_orbit_set():
                 backward = structure._aut_action(typ, table, slice(None), gens)
                 assert set(map(tuple, forward.tolist())) == set(map(tuple, backward.tolist()))
                 assert tuple(products) in set(map(tuple, backward.tolist()))
+
+
+def test_additive_type_matches_the_replaced_walk(sample_rings):
+    types = abelian_types_up_to(256)
+    assert len(types) == len(set(types)) == 516
+    for typ in types:
+        # Unmemoized, so the 516 standard groups are not kept for the session.
+        add = addgroup.std_group.__wrapped__(typ).add
+        assert addgroup.additive_type(add) == reference_additive_type(add) == typ
+    rng = random.Random(25)
+    extra = [rings.gf(2, 4), rings.gf(3, 3), rings.gf(2, 5), rings.gf(7, 2),
+             rings.matrix_ring(rings.zn(2), 2), power(rings.zn(2), 6)]
+    for ring in sample_rings + [relabel(ring, rng) for ring in extra]:
+        assert addgroup.additive_type(ring.add) == reference_additive_type(ring.add), ring.label
