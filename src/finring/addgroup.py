@@ -46,8 +46,18 @@ def multiples(add: Sequence[Sequence[int]], x: int) -> list[int]:
 
 
 def additive_orders(add: Sequence[Sequence[int]]) -> list[int]:
-    """Order of each element in the group described by `add` (index 0 is zero)."""
-    return [len(multiples(add, x)) for x in range(len(add))]
+    """Order of each element in the group described by `add` (index 0 is zero).
+
+    One walk per cyclic subgroup: an element x not yet reached gives the
+    orders of all its multiples, since c*x has order ord(x) / gcd(c, ord(x))."""
+    orders = [0] * len(add)
+    for x in range(len(add)):
+        if not orders[x]:
+            m = multiples(add, x)
+            order = len(m)
+            for c in range(order):
+                orders[m[c]] = order // math.gcd(c, order)
+    return orders
 
 
 def span(add: Sequence[Sequence[int]], seeds: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -195,6 +205,26 @@ def std_arrays(typ: tuple[int, ...]):
 
     group = std_group(typ)
     arrays = tuple(np.array(t, dtype=np.int32) for t in (group.add, group.smul, group.digits))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def axpy_arrays(typ: tuple[int, ...]):
+    """The standard group's flat table of a + d*v and its digit columns, as
+    read-only uint8 arrays.
+
+    With n the order and m = max(typ), entry (a*m + d)*n + v of the table
+    is a + d*v for every digit d < m, and row t of the (len(typ), n) digit
+    array holds digit t of each element.  So a sum of d_t * v_t is one read
+    of the table per term."""
+    import numpy as np
+
+    add, smul, digits = std_arrays(typ)
+    n, m = len(add), max(typ, default=1)
+    axpy = add[np.arange(n)[:, None, None], smul[None, :m, :]].astype(np.uint8).ravel()
+    arrays = axpy, np.ascontiguousarray(digits.T, dtype=np.uint8)
     for array in arrays:
         array.flags.writeable = False
     return arrays

@@ -142,12 +142,38 @@ def _allowed(typ: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [group.annihilated_by(math.gcd(typ[i], typ[j])) for (i, j) in positions]
 
 
+def _axpy(typ: tuple[int, ...], acc, d, v):
+    """acc + d*v elementwise on the standard group of `typ`, for digits d
+    below max(typ), as uint8: one read of the flat table of
+    `addgroup.axpy_arrays`, with an int32 index.  An acc of None is zero."""
+    import numpy as np
+
+    table, digits = addgroup.axpy_arrays(typ)
+    n = digits.shape[1]
+    if acc is None:
+        idx = np.multiply(d, n, dtype=np.int32)
+    else:
+        idx = np.multiply(acc, max(typ), dtype=np.int32)
+        idx += d
+        idx *= n
+    idx += v
+    return table.take(idx)
+
+
 def _scan_tensors(
     typ: tuple[int, ...], first_rows: tuple[tuple[int, ...], ...]
 ) -> list[tuple[int, ...]]:
     """Associative structure-constant assignments whose first row
     (e0*e0, ..., e0*e_{k-1}) is one of `first_rows`, an (r, k) sequence of
-    allowed rows in ascending order, in lexicographic scan order."""
+    allowed rows in ascending order, in lexicographic scan order.
+
+    The frontier is one uint8 column per fixed scan position.  Each new
+    position repeats every row once per allowed value, then drops the rows
+    that fail a constraint it completes, one constraint at a time and in
+    place order.  A side of a constraint, sum_t d_t * v_t with d_t the digits
+    of one product and v_t the products it meets, is read term by term from
+    the type's flat table of a + d*v (`addgroup.axpy_arrays`): one read of a
+    digit column and one of the table per term, with an int32 index."""
     import numpy as np
 
     k = len(typ)
@@ -155,30 +181,31 @@ def _scan_tensors(
     index = {pos: t for t, pos in enumerate(positions)}
     plan = _schedule(k, positions)
     allowed = _allowed(typ)
-    add_np, smul_np, dig_np = addgroup.std_arrays(typ)
+    digits = addgroup.axpy_arrays(typ)[1]
 
-    frontier = np.array(first_rows, dtype=np.int32)
+    def side(product, factors):
+        # sum_t (digit t of product) * factors[t].
+        acc = None
+        for digit, factor in zip(digits, factors):
+            acc = _axpy(typ, acc, digit.take(product), factor)
+        return acc
+
+    columns = list(np.array(first_rows, dtype=np.uint8).reshape(-1, k).T.copy())
     for t in range(len(positions)):
         if t >= k:
-            vals = np.array(allowed[t], dtype=np.int32)
-            rows = len(frontier)
-            ext = np.empty((rows * len(vals), t + 1), dtype=np.int32)
-            ext[:, :t] = np.repeat(frontier, len(vals), axis=0)
-            ext[:, t] = np.tile(vals, rows)
-            frontier = ext
+            vals = np.array(allowed[t], dtype=np.uint8)
+            rows = len(columns[0])
+            columns = [np.repeat(c, len(vals)) for c in columns]
+            columns.append(np.tile(vals, rows))
         for (i, j, kk) in plan[t]:
-            p_ij = frontier[:, index[(i, j)]]
-            p_jk = frontier[:, index[(j, kk)]]
-            left = np.zeros(len(frontier), dtype=np.int32)
-            right = np.zeros(len(frontier), dtype=np.int32)
-            for tt in range(k):
-                left = add_np[left, smul_np[dig_np[p_ij, tt], frontier[:, index[(tt, kk)]]]]
-                right = add_np[right, smul_np[dig_np[p_jk, tt], frontier[:, index[(i, tt)]]]]
-            frontier = frontier[left == right]
-            if len(frontier) == 0:
-                return []
-    order_cols = [index[(i, j)] for i in range(k) for j in range(k)]
-    return list(map(tuple, frontier[:, order_cols].tolist()))
+            left = side(columns[index[(i, j)]], [columns[index[(tt, kk)]] for tt in range(k)])
+            right = side(columns[index[(j, kk)]], [columns[index[(i, tt)]] for tt in range(k)])
+            keep = left == right
+            columns = [c[keep] for c in columns]
+        if len(columns[0]) == 0:
+            return []
+    order_cols = [columns[index[(i, j)]].tolist() for i in range(k) for j in range(k)]
+    return list(zip(*order_cols))
 
 
 @lru_cache(maxsize=None)
@@ -198,16 +225,16 @@ def _first_rows(typ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
     group = addgroup.std_group(typ)
     n, k = group.order, len(typ)
-    add_np, smul_np, dig_np = addgroup.std_arrays(typ)
+    digits = addgroup.axpy_arrays(typ)[1]
     autos = addgroup.automorphism_perms(typ)
     fixes = autos[:, group.gens[0]] == group.gens[0]
     images = autos[fixes][:, list(group.gens)]
     inverses = addgroup.automorphism_inverses(typ)[fixes]
     rows = np.array(list(itertools.product(*_allowed(typ)[:k])), dtype=np.int32)
     # products[r, y] = e0*y under first row r.
-    products = np.zeros((len(rows), n), dtype=np.int32)
+    products = np.zeros((len(rows), n), dtype=np.uint8)
     for t in range(k):
-        products = add_np[products, smul_np[dig_np[None, :, t], rows[:, t, None]]]
+        products = _axpy(typ, products, digits[t], rows[:, t, None])
     # Codes sum v_j n^(k-1-j) order as the rows do lexicographically.
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     codes = rows @ weights

@@ -313,15 +313,19 @@ def _bilinear_tables(typ: tuple[int, ...], products):
     import numpy as np
 
     add, smul, digits = addgroup.std_arrays(typ)
-    products = np.asarray(products, dtype=np.intp)
+    products = np.asarray(products, dtype=np.int32)
     k, n = len(typ), len(add)
+    # Flat reads: add[a, b] is add.flat[a*n + b], smul[c, x] is smul.flat[c*n + x].
+    add_flat, smul_flat = add.ravel(), smul.ravel()
     mul = np.zeros((len(products), n, n), dtype=np.int32)
     for i in range(k):
         for j in range(k):
             column = products[:, i * k + j, None, None]
             if column.any():
                 coeff = np.multiply.outer(digits[:, i], digits[:, j]) % math.gcd(typ[i], typ[j])
-                mul = add[mul, smul[coeff, column]]
+                mul *= n
+                mul += smul_flat.take(coeff * n + column)
+                mul = add_flat.take(mul)
     return mul
 
 
