@@ -218,16 +218,39 @@ def axpy_arrays(typ: tuple[int, ...]):
     With n the order and m = max(typ), entry (a*m + d)*n + v of the table
     is a + d*v for every digit d < m, and row t of the (len(typ), n) digit
     array holds digit t of each element.  So a sum of d_t * v_t is one read
-    of the table per term."""
+    of the table per term (`combination`)."""
     import numpy as np
 
     add, smul, digits = std_arrays(typ)
-    n, m = len(add), max(typ, default=1)
-    axpy = add[np.arange(n)[:, None, None], smul[None, :m, :]].astype(np.uint8).ravel()
-    arrays = axpy, np.ascontiguousarray(digits.T, dtype=np.uint8)
+    n, m = len(add), max(typ)
+    table = add[np.arange(n)[:, None, None], smul[None, :m, :]].astype(np.uint8).ravel()
+    arrays = table, np.ascontiguousarray(digits.T, dtype=np.uint8)
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def combination(typ: tuple[int, ...], x, images):
+    """sum_t x_t * images[t] on the standard group of `typ`, with x_t digit t
+    of the element x: the image of x under the additive map that sends
+    generator t to images[t].  Elementwise over arrays of elements that
+    broadcast together, as uint8; each term is one read of the
+    `axpy_arrays` table, with an int32 index."""
+    import numpy as np
+
+    table, digits = axpy_arrays(typ)
+    n, m = digits.shape[1], max(typ)
+    acc = None
+    for digit, image in zip(digits, images):
+        if acc is None:
+            idx = np.multiply(digit.take(x), n, dtype=np.int32) + image
+        else:
+            idx = np.multiply(acc, m, dtype=np.int32)
+            idx += digit.take(x)
+            idx *= n
+            idx += image
+        acc = table.take(idx)
+    return acc
 
 
 @lru_cache(maxsize=None)

@@ -4,12 +4,15 @@ Strategy per prime-power order: for every abelian type of the additive
 group, scan the generator-product structure constants (each constrained to
 the subgroup its bilinear extension needs, listed once by `_allowed`),
 filtering by associativity on generator triples as soon as the involved
-products are fixed.  The scan starts from the first rows e0*e0, ...,
-e0*e_{k-1} that are lexicographically least in their orbit under Stab(e0),
-the additive automorphisms fixing e0 (`_first_rows`; the first-level orbit
-pruning of McKay & Piperno, arXiv:1301.1493): relabelling by such an
-automorphism keeps a ring in its class and moves its first row within that
-orbit, so every class meets a kept row.  A scan job is an additive type
+products are fixed.  The frontier is one uint8 column per fixed product,
+and each term of a constraint is one read of the type's flat table of
+a + d*v (`addgroup.axpy_arrays`), cached once per type.  The scan starts
+from the first rows e0*e0, ..., e0*e_{k-1} that are lexicographically least
+in their orbit under Stab(e0), the additive automorphisms fixing e0
+(`_first_rows`; the first-level orbit pruning of McKay & Piperno,
+arXiv:1301.1493): relabelling by such an automorphism keeps a ring in its
+class and moves its first row within that orbit, so every class meets a
+kept row.  A scan job is an additive type
 with some of those rows; one set of additive-automorphism orbits covers
 the whole job, so a job certifies each class it meets once.  The orbits
 are read with the same action of Aut(typ) that the certificate minimizes
@@ -142,24 +145,6 @@ def _allowed(typ: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [group.annihilated_by(math.gcd(typ[i], typ[j])) for (i, j) in positions]
 
 
-def _axpy(typ: tuple[int, ...], acc, d, v):
-    """acc + d*v elementwise on the standard group of `typ`, for digits d
-    below max(typ), as uint8: one read of the flat table of
-    `addgroup.axpy_arrays`, with an int32 index.  An acc of None is zero."""
-    import numpy as np
-
-    table, digits = addgroup.axpy_arrays(typ)
-    n = digits.shape[1]
-    if acc is None:
-        idx = np.multiply(d, n, dtype=np.int32)
-    else:
-        idx = np.multiply(acc, max(typ), dtype=np.int32)
-        idx += d
-        idx *= n
-    idx += v
-    return table.take(idx)
-
-
 def _scan_tensors(
     typ: tuple[int, ...], first_rows: tuple[tuple[int, ...], ...]
 ) -> list[tuple[int, ...]]:
@@ -170,10 +155,9 @@ def _scan_tensors(
     The frontier is one uint8 column per fixed scan position.  Each new
     position repeats every row once per allowed value, then drops the rows
     that fail a constraint it completes, one constraint at a time and in
-    place order.  A side of a constraint, sum_t d_t * v_t with d_t the digits
-    of one product and v_t the products it meets, is read term by term from
-    the type's flat table of a + d*v (`addgroup.axpy_arrays`): one read of a
-    digit column and one of the table per term, with an int32 index."""
+    place order.  Each side of a constraint is one `addgroup.combination`
+    call: per term, one read of a digit column and one of the type's flat
+    table of a + d*v, with an int32 index."""
     import numpy as np
 
     k = len(typ)
@@ -181,15 +165,6 @@ def _scan_tensors(
     index = {pos: t for t, pos in enumerate(positions)}
     plan = _schedule(k, positions)
     allowed = _allowed(typ)
-    digits = addgroup.axpy_arrays(typ)[1]
-
-    def side(product, factors):
-        # sum_t (digit t of product) * factors[t].
-        acc = None
-        for digit, factor in zip(digits, factors):
-            acc = _axpy(typ, acc, digit.take(product), factor)
-        return acc
-
     columns = list(np.array(first_rows, dtype=np.uint8).reshape(-1, k).T.copy())
     for t in range(len(positions)):
         if t >= k:
@@ -198,8 +173,12 @@ def _scan_tensors(
             columns = [np.repeat(c, len(vals)) for c in columns]
             columns.append(np.tile(vals, rows))
         for (i, j, kk) in plan[t]:
-            left = side(columns[index[(i, j)]], [columns[index[(tt, kk)]] for tt in range(k)])
-            right = side(columns[index[(j, kk)]], [columns[index[(i, tt)]] for tt in range(k)])
+            # (e_i e_j) e_kk is sum_t d_t (e_t e_kk), d_t the digits of e_i e_j;
+            # e_i (e_j e_kk) is sum_t d_t (e_i e_t), d_t the digits of e_j e_kk.
+            left = addgroup.combination(
+                typ, columns[index[(i, j)]], [columns[index[(tt, kk)]] for tt in range(k)])
+            right = addgroup.combination(
+                typ, columns[index[(j, kk)]], [columns[index[(i, tt)]] for tt in range(k)])
             keep = left == right
             columns = [c[keep] for c in columns]
         if len(columns[0]) == 0:
@@ -225,16 +204,13 @@ def _first_rows(typ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
     group = addgroup.std_group(typ)
     n, k = group.order, len(typ)
-    digits = addgroup.axpy_arrays(typ)[1]
     autos = addgroup.automorphism_perms(typ)
     fixes = autos[:, group.gens[0]] == group.gens[0]
     images = autos[fixes][:, list(group.gens)]
     inverses = addgroup.automorphism_inverses(typ)[fixes]
     rows = np.array(list(itertools.product(*_allowed(typ)[:k])), dtype=np.int32)
-    # products[r, y] = e0*y under first row r.
-    products = np.zeros((len(rows), n), dtype=np.uint8)
-    for t in range(k):
-        products = _axpy(typ, products, digits[t], rows[:, t, None])
+    # products[r, y] = e0*y = sum_t y_t (e0 e_t) under first row r.
+    products = addgroup.combination(typ, np.arange(n), rows.T[:, :, None])
     # Codes sum v_j n^(k-1-j) order as the rows do lexicographically.
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     codes = rows @ weights

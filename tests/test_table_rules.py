@@ -3,20 +3,25 @@
 `addgroup.multiples` replaced four walks along 0, x, 2x, ...: the loop of
 `additive_orders`, the `mults` closure of `iter_basis_perms`,
 `freealg._scalar_action` and the repeated multiplication by p of
-`additive_type`.  The atlas's orbit dedup now reads the orbit of a
-scanned table through the certificate's action phi^-1 . T instead of its own
-phi . T gather.  The references below are the replaced copies, verbatim but
-for their names.
+`additive_type`.  `addgroup.additive_orders` walks each cyclic subgroup
+once instead of the multiples of every element.  The atlas's orbit dedup
+now reads the orbit of a scanned table through the certificate's action
+phi^-1 . T instead of its own phi . T gather, and the structure-constant
+scan reads the flat a + d*v table of `addgroup.axpy_arrays` over uint8
+columns instead of add[., smul[., .]] gathers over an int32 frontier.  The
+references below are the replaced copies, verbatim but for their names.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from finring import addgroup, atlas, rings, structure
 from finring import freealg as fa
+from finring.atlas import _allowed, _scan_positions, _schedule
 
 from test_certificates import power, relabel
 
@@ -34,6 +39,49 @@ def reference_additive_orders(add):
             k += 1
         orders.append(k)
     return orders
+
+
+def reference_orders_by_element(add):
+    return [len(addgroup.multiples(add, x)) for x in range(len(add))]
+
+
+def reference_scan_tensors(
+    typ: tuple[int, ...], first_rows: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, ...]]:
+    """Associative structure-constant assignments whose first row
+    (e0*e0, ..., e0*e_{k-1}) is one of `first_rows`, an (r, k) sequence of
+    allowed rows in ascending order, in lexicographic scan order."""
+    import numpy as np
+
+    k = len(typ)
+    positions = _scan_positions(k)
+    index = {pos: t for t, pos in enumerate(positions)}
+    plan = _schedule(k, positions)
+    allowed = _allowed(typ)
+    add_np, smul_np, dig_np = addgroup.std_arrays(typ)
+
+    frontier = np.array(first_rows, dtype=np.int32)
+    for t in range(len(positions)):
+        if t >= k:
+            vals = np.array(allowed[t], dtype=np.int32)
+            rows = len(frontier)
+            ext = np.empty((rows * len(vals), t + 1), dtype=np.int32)
+            ext[:, :t] = np.repeat(frontier, len(vals), axis=0)
+            ext[:, t] = np.tile(vals, rows)
+            frontier = ext
+        for (i, j, kk) in plan[t]:
+            p_ij = frontier[:, index[(i, j)]]
+            p_jk = frontier[:, index[(j, kk)]]
+            left = np.zeros(len(frontier), dtype=np.int32)
+            right = np.zeros(len(frontier), dtype=np.int32)
+            for tt in range(k):
+                left = add_np[left, smul_np[dig_np[p_ij, tt], frontier[:, index[(tt, kk)]]]]
+                right = add_np[right, smul_np[dig_np[p_jk, tt], frontier[:, index[(i, tt)]]]]
+            frontier = frontier[left == right]
+            if len(frontier) == 0:
+                return []
+    order_cols = [index[(i, j)] for i in range(k) for j in range(k)]
+    return list(map(tuple, frontier[:, order_cols].tolist()))
 
 
 def reference_basis_perms(add, typ):
@@ -205,3 +253,61 @@ def test_additive_type_matches_the_replaced_walk(sample_rings):
              rings.matrix_ring(rings.zn(2), 2), power(rings.zn(2), 6)]
     for ring in sample_rings + [relabel(ring, rng) for ring in extra]:
         assert addgroup.additive_type(ring.add) == reference_additive_type(ring.add), ring.label
+
+
+def test_additive_orders_match_the_per_element_walk(sample_rings):
+    for typ in abelian_types_up_to(256):
+        add = addgroup.std_group.__wrapped__(typ).add
+        assert addgroup.additive_orders(add) == reference_orders_by_element(add), typ
+    for ring in sample_rings:
+        assert addgroup.additive_orders(ring.add) == reference_orders_by_element(ring.add), ring.label
+
+
+def test_axpy_table_and_combination_read_add_of_smul():
+    rng = random.Random(26)
+    for typ in [(2,), (13,), (3, 2), (4, 2, 2), (7, 7), (16,), (2, 2, 2, 2)]:
+        group = addgroup.std_group(typ)
+        add, smul, digits = addgroup.std_arrays(typ)
+        table, columns = addgroup.axpy_arrays(typ)
+        n, m = len(add), max(typ)
+        assert table.dtype == columns.dtype == np.uint8
+        assert (table.reshape(n, m, n) == add[np.arange(n)[:, None, None], smul[None, :m]]).all()
+        assert (columns == digits.T).all()
+        images = [rng.randrange(n) for _ in typ]
+        expected = []
+        for x in range(n):
+            acc = 0
+            for d, image in zip(group.digits[x], images):
+                acc = group.add[acc][group.smul[d][image]]
+            expected.append(acc)
+        got = addgroup.combination(typ, np.arange(n), [np.full(n, v, np.uint8) for v in images])
+        assert got.dtype == np.uint8 and got.tolist() == expected, typ
+
+
+def test_scan_matches_the_replaced_scan():
+    # Every additive type of orders 2-15, and the types of order 25, 49 and
+    # 16 the atlas tests scan, from three sets of first rows: the kept rows,
+    # their halves as a two-worker build splits them, and every allowed row.
+    types = [typ for n in range(2, 16) for typ in atlas.abelian_group_types(n, cap=15)]
+    types += [(5, 5), (7, 7), (8, 2), (4, 4), (4, 2, 2)]
+    for typ in types:
+        kept = atlas._first_rows(typ)
+        row_sets = [kept, kept[0::2], kept[1::2]]
+        if typ in ((2, 2), (3, 3)):
+            row_sets.append(tuple(itertools.product(*atlas._allowed(typ)[: len(typ)])))
+        for rows in row_sets:
+            assert atlas._scan_tensors(typ, rows) == reference_scan_tensors(typ, rows), typ
+    # The uint8 columns, filtered after each constraint, peak no higher than
+    # the int32 frontier did.  Both scans ran above, so every table is cached.
+    peaks = []
+    for scan in (reference_scan_tensors, atlas._scan_tensors):
+        tracemalloc.start()
+        scan((2, 2, 2), atlas._first_rows((2, 2, 2)))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+
+@pytest.mark.parametrize("typ", [(3,), (2, 2), (2, 2, 2)])
+def test_scan_of_no_first_rows_is_empty(typ):
+    assert atlas._scan_tensors(typ, ()) == []
