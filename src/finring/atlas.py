@@ -12,15 +12,14 @@ in their orbit under Stab(e0), the additive automorphisms fixing e0
 (`_first_rows`; the first-level orbit pruning of McKay & Piperno,
 arXiv:1301.1493): relabelling by such an automorphism keeps a ring in its
 class and moves its first row within that orbit, so every class meets a
-kept row.  A scan job is an additive type
-with some of those rows; one set of additive-automorphism orbits covers
-the whole job, so a job certifies each class it meets once.  The orbits
-are read with the same action of Aut(typ) that the certificate minimizes
-over, and each class is re-emitted from its canonical certificate by the
-decoder in `structure`, which makes the output independent of scan
-partitioning and worker count.  Composite orders are assembled from the
-prime-power parts, since a finite ring is the direct sum of its primary
-components.
+kept row.  A scan job is an additive type with some of those rows; one set
+of additive-automorphism orbits covers the whole job, so a job certifies
+each class it meets once.  The orbits are read with the same action of
+Aut(typ) that the certificate minimizes over, and each class is re-emitted
+from its canonical certificate by the decoder in `structure`, which makes
+the output independent of scan partitioning and worker count.  Composite
+orders are assembled from the prime-power parts, since a finite ring is the
+direct sum of its primary components.
 """
 
 from __future__ import annotations
