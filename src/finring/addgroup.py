@@ -46,18 +46,8 @@ def multiples(add: Sequence[Sequence[int]], x: int) -> list[int]:
 
 
 def additive_orders(add: Sequence[Sequence[int]]) -> list[int]:
-    """Order of each element in the group described by `add` (index 0 is zero).
-
-    One walk per cyclic subgroup: an element x not yet reached gives the
-    orders of all its multiples, since c*x has order ord(x) / gcd(c, ord(x))."""
-    orders = [0] * len(add)
-    for x in range(len(add)):
-        if not orders[x]:
-            m = multiples(add, x)
-            order = len(m)
-            for c in range(order):
-                orders[m[c]] = order // math.gcd(c, order)
-    return orders
+    """Order of each element in the group described by `add` (index 0 is zero)."""
+    return [len(multiples(add, x)) for x in range(len(add))]
 
 
 def span(add: Sequence[Sequence[int]], seeds: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -300,8 +300,12 @@ def from_products(
 
     products[i * k + j] is gen_i * gen_j, for k = len(typ), so x * y is the
     sum over i, j of (x_i * y_j mod gcd(typ[i], typ[j])) * products[i * k + j].
+    Each product must be an element index in [0, n), or AxiomViolation.
     """
-    _check_order(math.prod(typ))
+    n = _check_order(math.prod(typ))
+    for t, v in enumerate(products):
+        if not 0 <= v < n:
+            raise AxiomViolation("entry-range", (t,), f"products[{t}] = {v!r} not in [0, {n})")
     mul = _bilinear_tables(typ, [products])[0]
     return make_ring(addgroup.std_arrays(typ)[0], mul, label, element_names)
 

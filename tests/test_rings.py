@@ -541,6 +541,15 @@ def test_from_products_families():
         rings.from_products((2, 2), (0, 0, 0, 0), element_names=("0",))
 
 
+@pytest.mark.parametrize("product", [-1, 4, 5])
+def test_from_products_names_a_product_out_of_range(product):
+    # A flat read of an out-of-range product can land inside the add or smul
+    # table, so the check comes before any table is read: 4 would read
+    # smul[1, 0] and silently give the zero product.
+    with pytest.raises(AxiomViolation, match=rf"^entry-range fails at \(0,\): products\[0\] = {product} not in \[0, 4\)$"):
+        rings.from_products((2, 2), (product, 0, 0, 0))
+
+
 def test_from_products_checks_the_cap_first(monkeypatch):
     monkeypatch.setattr(addgroup, "std_group", lambda typ: pytest.fail("group built"))
     with pytest.raises(OrderCapExceeded, match=r"^order 512 exceeds the cap of 256$"):
