@@ -14,6 +14,14 @@ vertices maps onto an explored sibling.  The skipped subtree is the image of
 the explored one, so it holds the same matrices and can only tie; as the
 first strict minimum is kept, certificates, orderings and isomorphism
 witnesses are those of the full search.
+
+The search runs on one dense bool adjacency matrix, built once per graph.  A
+refinement round ranks the vertices by rows of big-endian uint16, the color
+then the sorted neighbour colors, whose bytes order as the tuples of the
+colors do; the trivial-pairs test is one count matrix of class
+representatives against classes; and a leaf's bits are one `np.packbits` of
+the upper triangle of the reordered matrix.  A key entry is at most the
+vertex count, so uint16 keys hold graphs of 256 vertices and more.
 """
 
 from __future__ import annotations
@@ -103,48 +111,56 @@ def is_complete(graph: SimpleGraph) -> int | None:
     return None
 
 
-def _refine(n: int, adj: list[set[int]], colors: list[int]) -> list[int]:
+def _refine(adj, colors):
+    # A vertex's key is the row (color, sorted neighbour colors + 1, 0, ...)
+    # of big-endian uint16: its bytes order as the tuple (color, sorted
+    # neighbour colors) does, a shorter neighbour list first.  The new color
+    # is the key's rank among the distinct keys.
+    import numpy as np
+
+    n = len(colors)
+    width = 2 * (n + 1)
+    rows = np.empty((n, n + 1), ">u2")
+    count = len(set(colors.tolist()))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
+        rows[:, 0] = colors
+        # Non-neighbours sort last as 0xFFFF, which the += 1 wraps to 0.
+        neighbours = np.where(adj, colors, np.uint16(0xFFFF))
+        neighbours.sort(axis=1)
+        neighbours += np.uint16(1)
+        rows[:, 1:] = neighbours
+        data = rows.tobytes()
+        keys = [data[i : i + width] for i in range(0, n * width, width)]
         rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        fresh = [rank[k] for k in keys]
-        if fresh == colors:
+        colors = np.array([rank[key] for key in keys], np.uint16)
+        # The keys start with the color, so no class split exactly when
+        # there are as many keys as colors.
+        if len(rank) == count:
             return colors
-        colors = fresh
+        count = len(rank)
 
 
-def _classes(n: int, colors: list[int]) -> list[list[int]]:
-    buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        buckets.setdefault(colors[v], []).append(v)
-    return [buckets[c] for c in sorted(buckets)]
-
-
-def _all_pairs_trivial(adj: list[set[int]], classes: list[list[int]]) -> bool:
+def _all_pairs_trivial(adj, colors, sizes) -> bool:
     # In an equitable partition every member of a class has the same number
-    # of neighbours in any class, so one representative decides.
-    for cls in classes:
-        rep = cls[0]
-        for other in classes:
-            count = sum(1 for u in other if u in adj[rep])
-            full = len(cls) - 1 if other is cls else len(other)
-            if count not in (0, full):
-                return False
-    return True
+    # of neighbours in any class, so one representative decides: row i counts
+    # the neighbours of class i's first vertex in each class.
+    import numpy as np
+
+    classes = colors[:, None] == np.arange(len(sizes))
+    reps = classes.argmax(axis=0)
+    counts = np.matmul(adj[reps], classes, dtype=np.intp)
+    # The representatives' rows of `classes` are the identity matrix.
+    full = sizes - classes[reps]
+    return not (counts * (full - counts)).any()
 
 
-def _emit(n: int, adj: list[set[int]], order: list[int]) -> bytes:
-    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    pos = 0
-    for i in range(n):
-        vi = order[i]
-        for j in range(i + 1, n):
-            if order[j] in adj[vi]:
-                bits[pos >> 3] |= 0x80 >> (pos & 7)
-            pos += 1
-    return bytes(bits)
+def _emit(adj, order) -> bytes:
+    # The strict upper triangle of the reordered matrix, row by row, packed
+    # most significant bit first.
+    import numpy as np
+
+    r = np.arange(len(order))
+    return np.packbits(adj[order][:, order][r[:, None] < r]).tobytes()
 
 
 def _orbit_roots(n: int, autos: list[list[int]], fixed: list[int]) -> list[int]:
@@ -168,15 +184,19 @@ def _orbit_roots(n: int, autos: list[list[int]], fixed: list[int]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _search(n: int, adj: list[set[int]]) -> tuple[bytes, list[int]]:
+def _search(adj) -> tuple[bytes, list[int]]:
+    import numpy as np
+
+    n = len(adj)
     # Leaves seen so far, keyed by their adjacency bytes.  Two leaves with
     # the same bytes give the automorphism old_order[i] -> new_order[i].
     leaves: dict[bytes, list[int]] = {}
     autos: list[list[int]] = []
 
-    def leaf(colors: list[int]) -> tuple[bytes, list[int]]:
-        order = sorted(range(n), key=lambda v: (colors[v], v))
-        body = _emit(n, adj, order)
+    def leaf(colors) -> tuple[bytes, list[int]]:
+        order = np.argsort(colors, kind="stable")
+        body = _emit(adj, order)
+        order = order.tolist()
         seen = leaves.setdefault(body, order)
         if seen != order:
             auto = [0] * n
@@ -185,17 +205,18 @@ def _search(n: int, adj: list[set[int]]) -> tuple[bytes, list[int]]:
             autos.append(auto)
         return body, order
 
-    def visit(colors: list[int], prefix: list[int]) -> tuple[bytes, list[int]]:
-        colors = _refine(n, adj, colors)
-        classes = _classes(n, colors)
-        if len(classes) == n or _all_pairs_trivial(adj, classes):
+    def visit(colors, prefix: list[int]) -> tuple[bytes, list[int]]:
+        colors = _refine(adj, colors)
+        sizes = np.bincount(colors)
+        if len(sizes) == n or _all_pairs_trivial(adj, colors, sizes):
             return leaf(colors)
-        target = min(
-            (cls for cls in classes if len(cls) > 1),
-            key=lambda cls: (len(cls), colors[cls[0]]),
-        )
+        # The smallest non-singleton class, the first color among equals.
+        pivot_color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        target = np.flatnonzero(colors == pivot_color).tolist()
+        # Branching on v moves every other member of the class and every
+        # higher class up by one.
+        shifted = colors + (colors >= pivot_color)
         best: tuple[bytes, list[int]] | None = None
-        pivot_color = colors[target[0]]
         explored: list[int] = []
         known = -1
         roots: list[int] = []
@@ -209,17 +230,15 @@ def _search(n: int, adj: list[set[int]]) -> tuple[bytes, list[int]]:
                 if any(roots[u] == roots[v] for u in explored):
                     continue
             explored.append(v)
-            branched = [
-                c + 1 if c > pivot_color or (c == pivot_color and u != v) else c
-                for u, c in enumerate(colors)
-            ]
+            branched = shifted.copy()
+            branched[v] = pivot_color
             cand = visit(branched, prefix + [v])
             if best is None or cand[0] < best[0]:
                 best = cand
         assert best is not None
         return best
 
-    return visit([0] * n, [])
+    return visit(np.zeros(n, np.uint16), [])
 
 
 def _check_graph_cap(n: int) -> None:
@@ -227,14 +246,21 @@ def _check_graph_cap(n: int) -> None:
         raise GraphCapExceeded(f"graph has {n} vertices, cap is {GRAPH_CAP}")
 
 
-def _canonical(graph: SimpleGraph) -> tuple[bytes, list[int]]:
+def _canonical(graph: SimpleGraph):
+    """Certificate, canonical vertex order and the dense bool adjacency
+    matrix of a graph."""
+    import numpy as np
+
     n = graph.vertex_count
     _check_graph_cap(n)
+    adj = np.zeros(n * n, bool)
+    adj[[a * n + b for a, b in graph.edges] + [b * n + a for a, b in graph.edges]] = True
+    adj = adj.reshape(n, n)
     header = f"G1;n={n};".encode()
     if n == 0:
-        return header, []
-    body, order = _search(n, graph.adjacency())
-    return header + body, order
+        return header, [], adj
+    body, order = _search(adj)
+    return header + body, order, adj
 
 
 def canonical_form(graph: SimpleGraph) -> bytes:
@@ -248,18 +274,19 @@ def graph_isomorphic(g: SimpleGraph, h: SimpleGraph) -> list[int] | None:
     Agrees with canonical-form equality by construction: both graphs are
     mapped onto their shared canonical ordering.
     """
+    import numpy as np
+
     if g.vertex_count != h.vertex_count:
         return None
-    cg, og = _canonical(g)
-    ch, oh = _canonical(h)
+    cg, og, adj_g = _canonical(g)
+    ch, oh, adj_h = _canonical(h)
     if cg != ch:
         return None
     mapping = [0] * g.vertex_count
     for p in range(g.vertex_count):
         mapping[og[p]] = oh[p]
-    adj_h = h.adjacency()
-    for a, b in g.edges:
-        assert mapping[b] in adj_h[mapping[a]]
+    # Edges and non-edges alike.
+    assert np.array_equal(adj_h[mapping][:, mapping], adj_g)
     return mapping
 
 

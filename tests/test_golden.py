@@ -11,13 +11,16 @@ and element names of every family builder over a parameter grid, and the
 refusals pin what `ring build` prints for bad parameters.  The derived hashes
 cover direct sums, matrix rings, quotients and generated subrings built from
 atlas and family rings, and the standard groups of small types.  The identity
-hashes cover the exit code and stdout of `identity check`.
+hashes cover the exit code and stdout of `identity check`, and the `zdg`
+hashes the exit code, stdout and DOT file of `zdg graph --dot` and the exit
+code and stdout of `zdg iso` (answer and witness).
 """
 
 import functools
 import hashlib
 import itertools
 import os
+import random
 
 import pytest
 
@@ -317,18 +320,23 @@ def standard_text(k):
     return " ".join(parts)
 
 
-def _late_first(ring, early):
-    """A copy of `ring` whose elements with early(x) come first, zero kept at
-    0 and ties in index order, so counterexamples move late."""
+def _reordered(ring, order):
+    """A copy of `ring` whose elements 1, 2, ... are the elements of `order`,
+    a permutation of 1..n-1; zero stays at 0."""
     n = ring.order
     perm = [0] * n
-    order = sorted(range(1, n), key=lambda x: not early(x))
     for new, old in enumerate(order, start=1):
         perm[old] = new
-    inv = [0] + order
+    inv = [0] + list(order)
     add = [[perm[ring.add[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
     mul = [[perm[ring.mul[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
     return rings.make_ring(add, mul)
+
+
+def _late_first(ring, early):
+    """A copy of `ring` whose elements with early(x) come first, zero kept at
+    0 and ties in index order, so counterexamples move late."""
+    return _reordered(ring, sorted(range(1, ring.order), key=lambda x: not early(x)))
 
 
 def _idempotents_first(ring):
@@ -414,3 +422,106 @@ def test_identity_check_case_bytes(tmp_path, capsys, name):
     path = tmp_path / "ring.txt"
     rings.write_ringtab(build(), path)
     assert _sha256(_identity_output(capsys, path, text)) == digest
+
+
+# `zdg` output: per atlas order, one sha256 over `zdg graph --dot` on every
+# class (exit code, stdout with the certificate, DOT file) and one over
+# `zdg iso` on every class against a seeded relabeling of itself and against
+# the next class of the order (exit code, stdout with the witness).  The
+# symmetric rings add their graph and iso outputs on seeded relabelings, whose
+# searches branch and prune the most.
+def _shuffled(ring, seed):
+    order = list(range(1, ring.order))
+    random.Random(seed).shuffle(order)
+    return _reordered(ring, order)
+
+
+def _zdg_graph_output(capsys, tmp_path, ring):
+    path, dot = tmp_path / "ring.txt", tmp_path / "graph.dot"
+    rings.write_ringtab(ring, path)
+    code = cli.main(["zdg", "graph", str(path), "--dot", str(dot)])
+    out = capsys.readouterr().out
+    return f"{code}\n{out}".encode() + dot.read_bytes()
+
+
+def _zdg_iso_output(capsys, tmp_path, a, b):
+    path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    rings.write_ringtab(a, path_a)
+    rings.write_ringtab(b, path_b)
+    code = cli.main(["zdg", "iso", str(path_a), str(path_b)])
+    out = capsys.readouterr().out
+    return f"{code}\n{out}".encode()
+
+
+@functools.cache
+def _atlas_rings(n):
+    return tuple(entry.ring for entry in atlas.enumerate_rings(n, cap=15))
+
+
+ZDG_ATLAS_SHA256 = {
+    1: ("87d1f6bdd601765ce49543f28efe1e25a4c16192a8b72a329f68cb1b4cdf762e",
+        "df6e287732fa22a88ad38670bd763968eac35e631facbb19df41ba2413d12f01"),
+    2: ("d7ed000055686d124f3e7d7d38d08e9926f96f08d76ec2e6db6d84df565ab01e",
+        "5eaccab26bcf7e8dd5bb89042e1d9d0fd81ffff6d64c4f3b43a16dd2ceab4d92"),
+    3: ("0f8f7d5740e4534c7462d84eaa21f5c840e095f957889f3a8f1d144793a1d844",
+        "606735597ed5a45680168680b1038a3c388cf5730e1ae5f63e462ccbf32357f1"),
+    4: ("f02ee1153d9514072403121e0a9de30e8061ca1c1c135bf078f641ce2ecafc0e",
+        "35ba85dfd9cf9862df784283a79a7e2f6cb29dcb7c4985d9c981a5519c006157"),
+    5: ("099bf5e2911c2484b23f382f12b6ce295e17e1095079bc4fa465d1004f4dd58f",
+        "a925a61ec1fb00e517040b02d5c7231e82f3509d48bc9c369d2c38106c1b6cc6"),
+    6: ("dad0ce9dd6d60a855e124297c5bbeeec4abc2958f27bfd1c5f9244c8cab12946",
+        "8bafe7d6c1a3c2f5fd9a254f25dea79203dba117cc461e4c64109272358f24d0"),
+    7: ("9300e50211c547cc6420118fe772588b3006542698de30e67266bea52c62f116",
+        "ab60c815ae44fd785ac67c470745ca39d807f8bcd3a3ae2bbfd645f5f0d983e7"),
+    8: ("da0ee9ff7bec2fbea041ddbe68a81d26369af657136e9af84e48fef46c7634d7",
+        "77de084480fbb802e3b992b11556d4a7c77e77418a6d182537d4a3529075235c"),
+    9: ("b1af0287615517fb68a94a4757163618c51cc835fdaddf559f14a731485f20ab",
+        "c00d10047e50a611e50789fa2d0bd4287b93da017a4e9c13002b922cae90dc78"),
+    10: ("0e5e9de4f4aa63b7e615750d1af665ab46b542383d67a5cf4b829667bde12563",
+        "0273514072f94a270f83751021140001e6ab11b7b9dfdb19061649dc13810ecc"),
+    11: ("ecf079c4088651bb2534b6b1a681e3cc8e26bf589edde58dcb566a88efdb8d90",
+        "0fcecf9715d051b350b92cb69c614b3a1d2a130960f9828e70014bd3403bd6f8"),
+    12: ("9c371bf1158a953a3e30a7daa8a3b52dfc49e6cead3ecfa188438154e14abece",
+        "6474e52b9629b34a3b12d3842b51b0db1a502fd07d8d0532fc110f8ac4a83784"),
+    13: ("21083d4d10ed7d04ca7435a91d30b5097deead1563794047ed75fce79a4ece33",
+        "99ce840f8e6ef5ec44f8a58727feefbe2a420b8dad20b137e9ffb275b8444518"),
+    14: ("6cc5ac8c5d0418c3804b461a64f7b356050ab7dc14fbecb8b467c714dbc77a1e",
+        "96549ff82f49e205cce181e3c34ad471021b14465bbe938dec44460c76bcf95c"),
+    15: ("f367939bbcb9b4afccf7ada82af43d6c850420cd592a2eed9ce7cae8acfe8e60",
+        "3d7ddbb04df2e33c58c5b556f0578bcc640333b3e39a2989cda7fea093c0926e"),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_zdg_atlas_bytes(tmp_path, capsys, n):
+    classes = _atlas_rings(n)
+    graph_h, iso_h = hashlib.sha256(), hashlib.sha256()
+    for i, ring in enumerate(classes):
+        graph_h.update(_zdg_graph_output(capsys, tmp_path, ring))
+        iso_h.update(_zdg_iso_output(capsys, tmp_path, ring, _shuffled(ring, i)))
+        if i + 1 < len(classes):
+            iso_h.update(_zdg_iso_output(capsys, tmp_path, ring, classes[i + 1]))
+    assert (graph_h.hexdigest(), iso_h.hexdigest()) == ZDG_ATLAS_SHA256[n]
+
+
+ZDG_SYMMETRIC_SHA256 = {
+    "Z2^5": (lambda: functools.reduce(rings.direct_sum, [rings.zn(2)] * 5),
+             "c4a38fe1c7ecfd087030b4b53acaea430477c1b4cad652fe07243b5ffa40dcb1",
+             "97d7834f71ee14b26c92ffe658a82b9273c6ae57ba9d664f1aa3ff7bcf3aae0f"),
+    "Z2^6": (lambda: functools.reduce(rings.direct_sum, [rings.zn(2)] * 6),
+             "94732811ec41e696cc31b6a9134faa8cc43381b34ece50a0d0e7a64c172afda5",
+             "5d9a0b5a55ee74bd21626303cc259b669ac76c4df9fb9c54d31e9f3d4e4aa58d"),
+    "M2(Z2)": (_m2z2,
+               "5f4bc7a4ce6e1a410288afc6ab7246062412a81b7444139330c5ddb4c5794b9e",
+               "c9098de56c326bcc3e1e768e608a343190987d8b1ad20946e03ca05e790885c0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZDG_SYMMETRIC_SHA256))
+def test_zdg_symmetric_ring_bytes(tmp_path, capsys, name):
+    build, graph_digest, iso_digest = ZDG_SYMMETRIC_SHA256[name]
+    ring = build()
+    a, b = _shuffled(ring, 1), _shuffled(ring, 2)
+    graph_out = b"".join(_zdg_graph_output(capsys, tmp_path, r) for r in (ring, a, b))
+    iso_out = b"".join(_zdg_iso_output(capsys, tmp_path, x, y) for x, y in ((ring, a), (a, b)))
+    assert (_sha256(graph_out), _sha256(iso_out)) == (graph_digest, iso_digest)

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,29 +33,84 @@ def brute_iso(g, h):
     return rec([])
 
 
+# The set-based kernels that the dense ones in `graphs` replaced, verbatim
+# but for their names: refinement, classes, the trivial-pairs test and the
+# adjacency bits of an ordering, over adjacency sets.
+def reference_refine(n: int, adj: list[set[int]], colors: list[int]) -> list[int]:
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
+        ]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        fresh = [rank[k] for k in keys]
+        if fresh == colors:
+            return colors
+        colors = fresh
+
+
+def reference_classes(n: int, colors: list[int]) -> list[list[int]]:
+    buckets: dict[int, list[int]] = {}
+    for v in range(n):
+        buckets.setdefault(colors[v], []).append(v)
+    return [buckets[c] for c in sorted(buckets)]
+
+
+def reference_all_pairs_trivial(adj: list[set[int]], classes: list[list[int]]) -> bool:
+    # In an equitable partition every member of a class has the same number
+    # of neighbours in any class, so one representative decides.
+    for cls in classes:
+        rep = cls[0]
+        for other in classes:
+            count = sum(1 for u in other if u in adj[rep])
+            full = len(cls) - 1 if other is cls else len(other)
+            if count not in (0, full):
+                return False
+    return True
+
+
+def reference_emit(n: int, adj: list[set[int]], order: list[int]) -> bytes:
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    pos = 0
+    for i in range(n):
+        vi = order[i]
+        for j in range(i + 1, n):
+            if order[j] in adj[vi]:
+                bits[pos >> 3] |= 0x80 >> (pos & 7)
+            pos += 1
+    return bytes(bits)
+
+
+def branch(colors, v):
+    """The coloring the search refines after individualizing v."""
+    pivot_color = colors[v]
+    return [
+        c + 1 if c > pivot_color or (c == pivot_color and u != v) else c
+        for u, c in enumerate(colors)
+    ]
+
+
+def target_class(colors, classes):
+    return min(
+        (cls for cls in classes if len(cls) > 1),
+        key=lambda cls: (len(cls), colors[cls[0]]),
+    )
+
+
 def unpruned_search(n, adj, colors):
-    """The canonical search without automorphism pruning (oracle).
+    """The canonical search without automorphism pruning, on the reference
+    kernels (oracle).
 
     Tries every leaf of the individualization-refinement tree and keeps the
     first strict minimum in iteration order.
     """
-    colors = graphs._refine(n, adj, colors)
-    classes = graphs._classes(n, colors)
-    if graphs._all_pairs_trivial(adj, classes):
+    colors = reference_refine(n, adj, colors)
+    classes = reference_classes(n, colors)
+    if reference_all_pairs_trivial(adj, classes):
         order = sorted(range(n), key=lambda v: (colors[v], v))
-        return graphs._emit(n, adj, order), order
-    target = min(
-        (cls for cls in classes if len(cls) > 1),
-        key=lambda cls: (len(cls), colors[cls[0]]),
-    )
+        return reference_emit(n, adj, order), order
     best = None
-    pivot_color = colors[target[0]]
-    for v in target:
-        branched = [
-            c + 1 if c > pivot_color or (c == pivot_color and u != v) else c
-            for u, c in enumerate(colors)
-        ]
-        cand = unpruned_search(n, adj, branched)
+    for v in target_class(colors, classes):
+        cand = unpruned_search(n, adj, branch(colors, v))
         if best is None or cand[0] < best[0]:
             best = cand
     return best
@@ -282,7 +339,7 @@ def test_pruned_search_matches_unpruned_on_atlas_graphs():
     for n in range(1, 16):
         for entry in atlas.enumerate_rings(n, cap=16):
             graph = graphs.zero_divisor_graph(entry.ring)
-            assert graphs._canonical(graph) == unpruned_canonical(graph), entry.ring.label
+            assert graphs._canonical(graph)[:2] == unpruned_canonical(graph), entry.ring.label
 
 
 def test_pruned_search_matches_unpruned_on_symmetric_rings():
@@ -291,7 +348,7 @@ def test_pruned_search_matches_unpruned_on_symmetric_rings():
     family += [rings.matrix_ring(z2, 2), power(z3, 3), power(gf4, 3), power(z4, 2)]
     for ring in family:
         graph = graphs.zero_divisor_graph(ring)
-        assert graphs._canonical(graph) == unpruned_canonical(graph), ring.label
+        assert graphs._canonical(graph)[:2] == unpruned_canonical(graph), ring.label
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,7 +359,7 @@ def test_pruned_search_matches_unpruned_on_random_graphs(n, data):
     perm = data.draw(st.permutations(list(range(n))))
     g = graphs.make_graph(n, picks)
     for graph in (g, relabeled(g, perm)):
-        assert graphs._canonical(graph) == unpruned_canonical(graph)
+        assert graphs._canonical(graph)[:2] == unpruned_canonical(graph)
 
 
 def test_orbits_use_only_automorphisms_fixing_the_prefix():
@@ -339,12 +396,95 @@ def test_boolean_ring_graphs_pruned(monkeypatch, k, certificate, max_leaves):
     leaves = []
     emit = graphs._emit
 
-    def counting_emit(n, adj, order):
+    def counting_emit(adj, order):
         leaves.append(order)
-        return emit(n, adj, order)
+        return emit(adj, order)
 
     monkeypatch.setattr(graphs, "_emit", counting_emit)
     graph = graphs.zero_divisor_graph(power(rings.zn(2), k))
     n = graph.vertex_count
     assert graphs.canonical_form(graph) == f"G1;n={n};".encode() + bytes.fromhex(certificate)
     assert len(leaves) <= max_leaves
+
+
+def dense(graph):
+    adj = np.zeros((graph.vertex_count, graph.vertex_count), bool)
+    for a, b in graph.edges:
+        adj[a, b] = adj[b, a] = True
+    return adj
+
+
+def assert_refine_matches(graph, colors):
+    n = graph.vertex_count
+    expected = reference_refine(n, graph.adjacency(), colors)
+    got = graphs._refine(dense(graph), np.array(colors, np.uint16))
+    assert got.tolist() == expected
+    return expected
+
+
+def assert_refine_matches_at_root_and_branches(graph):
+    n = graph.vertex_count
+    colors = assert_refine_matches(graph, [0] * n)
+    classes = reference_classes(n, colors)
+    if len(classes) < n:
+        for v in target_class(colors, classes):
+            assert_refine_matches(graph, branch(colors, v))
+
+
+def test_refine_matches_the_reference_on_ring_graphs():
+    family = [power(rings.zn(2), k) for k in range(1, 7)] + [power(rings.zn(3), 3)]
+    family += [entry.ring for n in range(1, 16) for entry in atlas.enumerate_rings(n, cap=16)]
+    for ring in family:
+        assert_refine_matches_at_root_and_branches(graphs.zero_divisor_graph(ring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, graphs.GRAPH_CAP), st.floats(0, 1), st.randoms(use_true_random=False), st.data())
+def test_refine_matches_the_reference_on_random_graphs(n, density, rnd, data):
+    # Up to GRAPH_CAP vertices, so colors and neighbour counts span the key
+    # width; a random start coloring need not use every color below its top.
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rnd.random() < density]
+    graph = graphs.make_graph(n, edges)
+    assert_refine_matches(graph, data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
+    assert_refine_matches_at_root_and_branches(graph)
+
+
+def count_search_tree(monkeypatch, graph):
+    """Nodes refined and leaves emitted by one canonical search."""
+    counts = {"nodes": 0, "leaves": 0}
+    refine, emit = graphs._refine, graphs._emit
+
+    def counting_refine(*args):
+        counts["nodes"] += 1
+        return refine(*args)
+
+    def counting_emit(*args):
+        counts["leaves"] += 1
+        return emit(*args)
+
+    monkeypatch.setattr(graphs, "_refine", counting_refine)
+    monkeypatch.setattr(graphs, "_emit", counting_emit)
+    graphs.canonical_form(graph)
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "base, k, nodes, leaves",
+    [(2, 5, 25, 11), (2, 6, 41, 16), (3, 3, 142, 82)],
+)
+def test_search_tree_is_pinned(monkeypatch, base, k, nodes, leaves):
+    # The tree of the set-based search: the same target cells, branch order,
+    # orbit pruning and leaves.
+    graph = graphs.zero_divisor_graph(power(rings.zn(base), k))
+    assert count_search_tree(monkeypatch, graph) == {"nodes": nodes, "leaves": leaves}
+
+
+def test_witness_check_covers_non_edges(monkeypatch):
+    # A search that gave P3 and K3 the same bytes would map P3's two edges
+    # onto edges of K3 and its non-edge onto K3's third edge; the witness
+    # check must refuse it.
+    monkeypatch.setattr(graphs, "_search", lambda adj: (b"", list(range(len(adj)))))
+    p3 = graphs.make_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(AssertionError):
+        graphs.graph_isomorphic(p3, graphs.complete_graph(3))
