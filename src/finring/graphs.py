@@ -125,9 +125,9 @@ def _refine(adj, colors):
     while True:
         rows[:, 0] = colors
         # Non-neighbours sort last as 0xFFFF, which the += 1 wraps to 0.
-        neighbours = np.where(adj, colors, np.uint16(0xFFFF))
+        neighbours = np.where(adj, colors, 0xFFFF)
         neighbours.sort(axis=1)
-        neighbours += np.uint16(1)
+        neighbours += 1
         rows[:, 1:] = neighbours
         data = rows.tobytes()
         keys = [data[i : i + width] for i in range(0, n * width, width)]
@@ -151,7 +151,7 @@ def _all_pairs_trivial(adj, colors, sizes) -> bool:
     counts = np.matmul(adj[reps], classes, dtype=np.intp)
     # The representatives' rows of `classes` are the identity matrix.
     full = sizes - classes[reps]
-    return not (counts * (full - counts)).any()
+    return not np.count_nonzero(counts * (full - counts))
 
 
 def _emit(adj, order) -> bytes:
@@ -286,7 +286,7 @@ def graph_isomorphic(g: SimpleGraph, h: SimpleGraph) -> list[int] | None:
     for p in range(g.vertex_count):
         mapping[og[p]] = oh[p]
     # Edges and non-edges alike.
-    assert np.array_equal(adj_h[mapping][:, mapping], adj_g)
+    assert (adj_h[mapping][:, mapping] == adj_g).all()
     return mapping
 
 
