@@ -21,7 +21,10 @@ then the sorted neighbour colors, whose bytes order as the tuples of the
 colors do; the trivial-pairs test is one count matrix of class
 representatives against classes; and a leaf's bits are one `np.packbits` of
 the upper triangle of the reordered matrix.  A key entry is at most the
-vertex count, so uint16 keys hold graphs of 256 vertices and more.
+vertex count, so uint16 keys hold graphs of 256 vertices and more.  The
+orbits that pruning reads come from the stored automorphisms as one integer
+array: every vertex takes the least label among its own and its images'
+until the labels are constant on each orbit, the least vertex of it.
 """
 
 from __future__ import annotations
@@ -119,20 +122,21 @@ def _refine(adj, colors):
     import numpy as np
 
     n = len(colors)
-    width = 2 * (n + 1)
     rows = np.empty((n, n + 1), ">u2")
+    keys = rows.view(f"V{2 * (n + 1)}").ravel()
+    # 0 at neighbours and 0xFFFF elsewhere: or-ed with the colors, the
+    # non-neighbours sort last, and the += 1 wraps them to 0.
+    pad = adj.astype(np.uint16) - 1
     count = len(set(colors.tolist()))
     while True:
         rows[:, 0] = colors
-        # Non-neighbours sort last as 0xFFFF, which the += 1 wraps to 0.
-        neighbours = np.where(adj, colors, 0xFFFF)
+        neighbours = colors | pad
         neighbours.sort(axis=1)
         neighbours += 1
         rows[:, 1:] = neighbours
-        data = rows.tobytes()
-        keys = [data[i : i + width] for i in range(0, n * width, width)]
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colors = np.array([rank[key] for key in keys], np.uint16)
+        row_keys = keys.tolist()
+        rank = {key: i for i, key in enumerate(sorted(set(row_keys)))}
+        colors = np.array(list(map(rank.__getitem__, row_keys)), np.uint16)
         # The keys start with the color, so no class split exactly when
         # there are as many keys as colors.
         if len(rank) == count:
@@ -146,11 +150,15 @@ def _all_pairs_trivial(adj, colors, sizes) -> bool:
     # the neighbours of class i's first vertex in each class.
     import numpy as np
 
-    classes = colors[:, None] == np.arange(len(sizes))
+    k = len(sizes)
+    classes = colors[:, None] == np.arange(k)
     reps = classes.argmax(axis=0)
-    counts = np.matmul(adj[reps], classes, dtype=np.intp)
+    # Entry (i, v) of `cells` is the flat index of (i, color of v); the
+    # neighbours of class i's representative count in those cells.
+    cells = np.arange(0, k * k, k)[:, None] + colors
+    counts = np.bincount(cells[adj.take(reps, 0)], minlength=k * k).reshape(k, k)
     # The representatives' rows of `classes` are the identity matrix.
-    full = sizes - classes[reps]
+    full = sizes - classes.take(reps, 0)
     return not np.count_nonzero(counts * (full - counts))
 
 
@@ -160,28 +168,25 @@ def _emit(adj, order) -> bytes:
     import numpy as np
 
     r = np.arange(len(order))
-    return np.packbits(adj[order][:, order][r[:, None] < r]).tobytes()
+    return np.packbits(adj.take(order, 0).take(order, 1)[r[:, None] < r]).tobytes()
 
 
-def _orbit_roots(n: int, autos: list[list[int]], fixed: list[int]) -> list[int]:
-    # Union-find over the automorphisms that fix every vertex in `fixed`;
-    # entry v is a representative of the orbit of v under the group they
-    # generate.
-    parent = list(range(n))
+def _orbit_roots(n: int, autos: list, fixed: list[int]) -> list[int]:
+    # Entry v is the least vertex of the orbit of v under the group that the
+    # automorphisms fixing every vertex in `fixed` generate.
+    import numpy as np
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for auto in autos:
-        if all(auto[v] == v for v in fixed):
-            for v in range(n):
-                a, b = find(v), find(auto[v])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
+    gens = np.array(autos, np.intp).reshape(-1, n)
+    gens = gens[(gens[:, fixed] == fixed).all(axis=1)]
+    roots = np.arange(n)
+    while True:
+        # Each vertex takes the least root among its own and its images',
+        # then that root's; a fixed point is constant on every orbit.
+        least = np.minimum(roots, roots[gens].min(axis=0, initial=n))
+        least = least[least]
+        if (least == roots).all():
+            return roots.tolist()
+        roots = least
 
 
 def _search(adj) -> tuple[bytes, list[int]]:
@@ -191,17 +196,16 @@ def _search(adj) -> tuple[bytes, list[int]]:
     # Leaves seen so far, keyed by their adjacency bytes.  Two leaves with
     # the same bytes give the automorphism old_order[i] -> new_order[i].
     leaves: dict[bytes, list[int]] = {}
-    autos: list[list[int]] = []
+    autos = []
 
     def leaf(colors) -> tuple[bytes, list[int]]:
-        order = np.argsort(colors, kind="stable")
+        order = colors.argsort(kind="stable")
         body = _emit(adj, order)
         order = order.tolist()
         seen = leaves.setdefault(body, order)
         if seen != order:
-            auto = [0] * n
-            for a, b in zip(seen, order):
-                auto[a] = b
+            auto = np.empty(n, np.intp)
+            auto[seen] = order
             autos.append(auto)
         return body, order
 
@@ -211,8 +215,8 @@ def _search(adj) -> tuple[bytes, list[int]]:
         if len(sizes) == n or _all_pairs_trivial(adj, colors, sizes):
             return leaf(colors)
         # The smallest non-singleton class, the first color among equals.
-        pivot_color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
-        target = np.flatnonzero(colors == pivot_color).tolist()
+        pivot_color = int(np.where(sizes > 1, sizes, n + 1).argmin())
+        target = (colors == pivot_color).nonzero()[0].tolist()
         # Branching on v moves every other member of the class and every
         # higher class up by one.
         shifted = colors + (colors >= pivot_color)
@@ -274,8 +278,6 @@ def graph_isomorphic(g: SimpleGraph, h: SimpleGraph) -> list[int] | None:
     Agrees with canonical-form equality by construction: both graphs are
     mapped onto their shared canonical ordering.
     """
-    import numpy as np
-
     if g.vertex_count != h.vertex_count:
         return None
     cg, og, adj_g = _canonical(g)
@@ -286,7 +288,7 @@ def graph_isomorphic(g: SimpleGraph, h: SimpleGraph) -> list[int] | None:
     for p in range(g.vertex_count):
         mapping[og[p]] = oh[p]
     # Edges and non-edges alike.
-    assert (adj_h[mapping][:, mapping] == adj_g).all()
+    assert (adj_h.take(mapping, 0).take(mapping, 1) == adj_g).all()
     return mapping
 
 
