@@ -34,7 +34,8 @@ def brute_iso(g, h):
 
 # The set-based kernels that the dense ones in `graphs` replaced, verbatim
 # but for their names: refinement, classes, the trivial-pairs test and the
-# adjacency bits of an ordering, over adjacency sets.
+# adjacency bits of an ordering, over adjacency sets, and the union-find
+# orbits of the stored automorphisms.
 def reference_refine(n: int, adj: list[set[int]], colors: list[int]) -> list[int]:
     while True:
         keys = [
@@ -77,6 +78,27 @@ def reference_emit(n: int, adj: list[set[int]], order: list[int]) -> bytes:
                 bits[pos >> 3] |= 0x80 >> (pos & 7)
             pos += 1
     return bytes(bits)
+
+
+def reference_orbit_roots(n: int, autos: list[list[int]], fixed: list[int]) -> list[int]:
+    # Union-find over the automorphisms that fix every vertex in `fixed`;
+    # entry v is a representative of the orbit of v under the group they
+    # generate.
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for auto in autos:
+        if all(auto[v] == v for v in fixed):
+            for v in range(n):
+                a, b = find(v), find(auto[v])
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
 
 
 def branch(colors, v):
@@ -368,6 +390,23 @@ def test_orbits_use_only_automorphisms_fixing_the_prefix():
     assert graphs._orbit_roots(5, [swap_01, swap_23], []) == [0, 0, 2, 2, 4]
     assert graphs._orbit_roots(5, [swap_01, swap_23], [0]) == [0, 1, 2, 2, 4]
     assert graphs._orbit_roots(5, [swap_01, cycle_234], [2]) == [0, 0, 2, 3, 4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_orbit_roots_match_the_reference(n, data):
+    # Any permutations serve: the orbits are those of the group they
+    # generate.  Fixed points are drawn from the vertices some of them fix.
+    perms = st.permutations(list(range(n)))
+    autos = data.draw(st.lists(perms, max_size=6))
+    if autos and data.draw(st.booleans()):
+        kept = [v for v in range(n) if autos[0][v] == v]
+        fixed = data.draw(st.lists(st.sampled_from(kept), max_size=3)) if kept else []
+    else:
+        fixed = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    expected = reference_orbit_roots(n, autos, fixed)
+    assert graphs._orbit_roots(n, autos, fixed) == expected
+    assert graphs._orbit_roots(n, [np.array(a) for a in autos], fixed) == expected
 
 
 Z2_5_CERTIFICATE = (
