@@ -21,7 +21,8 @@ STRUCTURAL_CAP = 64
 # Largest additive automorphism group a certificate minimizes over.  It covers
 # every additive type of order <= 16 and (3, 3, 3); GL(5, 2) is far above it.
 AUTOMORPHISM_BUDGET = 1 << 17
-# Product-table entries per vectorized block of the certificate minimum.
+# Generator products per vectorized block of the certificate minimum: k * k
+# for each table and automorphism, k the number of generators of the type.
 _CERTIFICATE_BLOCK = 1 << 16
 
 
@@ -364,11 +365,13 @@ def ring_canonical_certificate(ring: FiniteRing) -> bytes:
     and the multiplication table is minimized lexicographically over every
     decomposition basis.  Those bases are perm0 . phi for one basis perm0 and
     every additive automorphism phi, so the table is standardized once and
-    the minimum is taken over Aut(typ) in vectorized blocks: `_aut_action`
-    reads a block of relabeled tables with two flat gathers, and a
-    lexicographic argmin over its rows picks the block's first least table.
-    Types whose automorphism group exceeds AUTOMORPHISM_BUDGET raise
-    BudgetExceeded.
+    the minimum is taken over Aut(typ).  A product table is bi-additive, so
+    its relabelings order as their products of the k standard generators
+    do (the lemma in `_canonical_stack`): `_aut_action` reads a block of
+    those k x k products with two flat gathers, a lexicographic argmin over
+    its rows picks the block's first least one, and one more gather reads
+    the full table of the winning automorphism.  Types whose automorphism
+    group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
     """
     return _canonical(ring)[0]
 
@@ -393,11 +396,29 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     one order at most STRUCTURAL_CAP.
 
     The rings of one additive type are certified together: one gather
-    standardizes their tables, and `_aut_action` relabels them in blocks of
-    at most _CERTIFICATE_BLOCK entries, each block a run of tables with a
-    run of automorphisms.  Each table keeps its first least row; a block of
+    standardizes their tables, and `_aut_action` reads their products of
+    generators in blocks of at most _CERTIFICATE_BLOCK products, each block
+    a run of tables with a run of automorphisms.  Each table keeps its first
+    least row, within a block and across blocks, and one gather per type
+    reads each table's full table in its winning automorphism.  A block of
     one table is the block of one ring alone, so a ring's basis does not
     depend on the rings beside it.
+
+    The minimum over the k x k products of the k generators of the standard
+    group, taken in ascending index, is the minimum over the n x n tables.
+    Each relabeled table is a ring's product read in a basis of its
+    additive group, so it is bi-additive on the standard group.  Indices
+    are mixed radix with the first factor most significant, so an element x
+    that is neither zero nor a generator is a combination of generators
+    whose indices are below x's.  Then table[x, y] is the same combination
+    of cells table[e, y] in earlier rows, and likewise for y and earlier
+    columns.  So the first cell, in row-major order, where two relabeled
+    tables differ is a product e_i . e_j of generators, and with the
+    generators in index order the k x k products are their n x n cells in
+    the same order: comparing the products orders the tables exactly as
+    comparing all cells, and equal products mean equal tables.  The zero
+    ring has no generators and one automorphism; its certificate is its
+    1 x 1 zero table.
     """
     import numpy as np
 
@@ -422,36 +443,58 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
         by_type.setdefault(typ, []).append(i)
         firsts.append(first)
     n = mul.shape[-1]
-    width = n * n
-    step = max(1, _CERTIFICATE_BLOCK // width)
     # std[t, x, y] = p^-1[mul_t[p[x], p[y]]] for p = firsts[t]: each table
     # read in its first basis, by one gather over the stack.
     perm = np.array(firsts, dtype=np.intp)
-    offsets = np.arange(0, len(adds) * n, n)[:, None]
-    cells = mul.take((perm + offsets)[:, :, None] * n + perm[:, None, :])
-    std = np.argsort(perm, axis=1).take(cells + offsets[..., None])
+    std = _relabel(mul, perm, np.argsort(perm, axis=1))
     out: list[tuple[bytes, list[int]]] = [(b"", [])] * len(adds)
     for typ, members in by_type.items():
         autos = addgroup.automorphism_perms(typ)
-        header = f"FR1;n={n};t={','.join(map(str, typ))};".encode()
+        points = sorted(addgroup.std_group(typ).gens)
+        width = len(points) ** 2
         tables = std.take(members, axis=0)
+        # The zero ring has no generators: its one automorphism wins.
+        rows = np.zeros(len(members), dtype=np.intp)
+        step = max(1, _CERTIFICATE_BLOCK // max(1, width))
         per_block = max(1, step // len(autos))
         span = min(len(autos), step)
-        for t0 in range(0, len(members), per_block):
-            chunk = tables[t0:t0 + per_block]
-            best, rows = [b""] * len(chunk), [0] * len(chunk)
+        for t0 in range(0, len(members) if points else 0, per_block):
+            chunk = slice(t0, t0 + per_block)
             for lo in range(0, len(autos), span):
-                block = _aut_action(typ, chunk, slice(lo, lo + span), slice(None))
+                block = _aut_action(typ, tables[chunk], slice(lo, lo + span), points)
                 # Rows of one width order the same as byte strings and as
                 # bytes, so trailing nulls cannot reorder them; argmin
                 # returns the first least.
-                for j, row in enumerate(block.view(f"S{width}")[..., 0].argmin(axis=1)):
-                    cand = block[j, row].tobytes()
-                    if not lo or cand < best[j]:
-                        best[j], rows[j] = cand, lo + row
-            for i, cand, row in zip(members[t0:t0 + per_block], best, rows):
-                out[i] = header + cand, [firsts[i][x] for x in autos[row].tolist()]
+                keys = block.view(f"S{width}")[..., 0]
+                row = keys.argmin(axis=1)
+                if span < len(autos):
+                    cand = keys[np.arange(len(keys)), row]
+                    if lo:
+                        # Strictly less: on a tie the earlier block keeps its row.
+                        better = cand < least
+                        cand = np.where(better, cand, least)
+                        row = np.where(better, lo + row, rows[chunk])
+                    least = cand
+                rows[chunk] = row
+        chosen = autos.take(rows, axis=0)
+        full = _relabel(tables, chosen, addgroup.automorphism_inverses(typ).take(rows, axis=0))
+        bases = perm[np.array(members)[:, None], chosen].tolist()
+        header = f"FR1;n={n};t={','.join(map(str, typ))};".encode()
+        for i, table, basis in zip(members, full, bases):
+            out[i] = header + table.tobytes(), basis
     return out
+
+
+def _relabel(tables, perm, inverse):
+    """Table t of the (b, n, n) stack `tables` read in the basis perm[t]:
+    out[t, x, y] = inverse[t][tables[t, perm[t, x], perm[t, y]]], where
+    inverse[t] inverts perm[t].  Two flat gathers over the stack."""
+    import numpy as np
+
+    b, n = perm.shape
+    offsets = np.arange(0, b * n, n)[:, None]
+    cells = tables.take((perm + offsets)[:, :, None] * n + perm[:, None, :])
+    return inverse.take(cells + offsets[..., None])
 
 
 def _canonical_ring(cert: bytes) -> FiniteRing:
@@ -476,11 +519,15 @@ def _aut_action(typ: tuple[int, ...], table, autos: slice, points):
     Under basis phi the product of standard elements x, y reads
     phi^-1[table[phi[x], phi[y]]]; a row holds it for x, y in `points` (an
     index into the elements), x major.  That is the table relabelled by
-    phi^-1, so the rows over all of Aut are its orbit.  `table` may also be
-    a stack of tables, (..., n, n), with a block of rows for each.  Both
-    lookups are flat gathers: the cells at phi[x] * n + phi[y] of each
-    raveled table, then the entries at cell + i * n of the raveled inverses
-    for row i.
+    phi^-1, so the rows over all of Aut are its orbit.  The certificate and
+    the scan's orbit dedup pass the generators as `points`: a bi-additive
+    table is fixed by its generator products, so those rows are equal
+    exactly when the full tables are, and with the generators in ascending
+    index they also order as the full tables do (`_canonical_stack`).
+    `table` may also be a stack of tables, (..., n, n), with a block of rows
+    for each.  Both lookups are flat gathers: the cells at phi[x] * n +
+    phi[y] of each raveled table, then the entries at cell + i * n of the
+    raveled inverses for row i.
     """
     import numpy as np
 

@@ -97,13 +97,19 @@ def reference_canonical(ring):
     return header + best, [perm0[x] for x in autos[best_row].tolist()]
 
 
+def generator_points(typ):
+    """The generators of the standard group of `typ`, in ascending index."""
+    return sorted(addgroup.std_group(typ).gens)
+
+
 def minimal_blocks(ring):
-    """How many certificate blocks reach the least relabeled table."""
+    """How many certificate blocks, of _CERTIFICATE_BLOCK generator products
+    each, reach the least relabeled table."""
     typ = addgroup.additive_type(ring.add)
     n = ring.order
     table = np.frombuffer(reference_canonical(ring)[0][-n * n:], dtype=np.uint8).reshape(n, n)
     autos = addgroup.automorphism_perms(typ)
-    step = max(1, structure._CERTIFICATE_BLOCK // (n * n))
+    step = max(1, structure._CERTIFICATE_BLOCK // len(typ) ** 2)
     rows = reference_aut_action(typ, table, slice(None), slice(None))
     least = (rows == rows[np.lexsort(rows.T[::-1])[0]]).all(axis=1)
     return len({int(i) // step for i in np.flatnonzero(least)})
@@ -124,7 +130,7 @@ def test_certificate_and_basis_match_the_reference_on_atlas(atlas_by_order):
 )
 def test_certificate_and_basis_match_the_reference_across_blocks(ring):
     typ = addgroup.additive_type(ring.add)
-    step = max(1, structure._CERTIFICATE_BLOCK // ring.order**2)
+    step = max(1, structure._CERTIFICATE_BLOCK // len(typ) ** 2)
     assert addgroup.automorphism_count(typ) > step
     copy = relabel(ring, random.Random(29))
     assert structure._canonical(copy) == reference_canonical(copy)
@@ -137,6 +143,46 @@ def test_certificate_keeps_the_first_of_tied_blocks():
     for ring in (null, relabel(power(rings.zn(2), 4), random.Random(31))):
         assert minimal_blocks(ring) > 1
         assert structure._canonical(ring) == reference_canonical(ring)
+
+
+def least_rows(typ, table, points):
+    """The automorphism rows whose reading of `table` at `points` is least,
+    compared as Python bytes."""
+    count = addgroup.automorphism_count(typ)
+    rows = np.concatenate([reference_aut_action(typ, table, slice(lo, lo + 2048), points)
+                           for lo in range(0, count, 2048)])
+    keys = [row.tobytes() for row in rows]
+    least = min(keys)
+    return {i for i, key in enumerate(keys) if key == least}
+
+
+def test_generator_products_reach_the_least_full_tables(monkeypatch):
+    # A bi-additive table is fixed by its generator products, and with the
+    # generators in ascending index they are its first differing cells: the
+    # automorphisms reaching the least k x k products are those reaching the
+    # least n x n table.
+    rng = random.Random(37)
+    samples = [rings.make_ring([[0]], [[0]])]
+    for n in range(1, 16):
+        for entry in atlas.enumerate_rings(n, cap=15):
+            samples += [entry.ring, relabel(entry.ring, rng), relabel(entry.ring, rng)]
+    for ring in (rings.matrix_ring(rings.zn(2), 2), rings.gf(2, 4), power(rings.zn(2), 4),
+                 rings.gf(3, 3), power(rings.zn(3), 3), rings.direct_sum(rings.zn(4), rings.zn(4))):
+        samples.append(relabel(ring, rng))
+    calls = counting(monkeypatch, structure, "_aut_action")
+    for ring in samples:
+        typ = addgroup.additive_type(ring.add)
+        perm0 = next(addgroup.iter_basis_perms(ring.add, typ))
+        n = ring.order
+        table = np.frombuffer(bytes(std_mul(ring, perm0)), dtype=np.uint8).reshape(n, n)
+        points = generator_points(typ)
+        assert least_rows(typ, table, points) == least_rows(typ, table, list(range(n)))
+        calls.clear()
+        assert structure._canonical(ring) == reference_canonical(ring)
+        # The minimum reads the k generators, never all n points.
+        assert [np.asarray(args[3]).tolist() for args in calls] == [points] * len(calls)
+        assert len(calls) >= (1 if typ else 0)
+    assert len(samples) == 1 + 3 * sum(atlas.CLASS_COUNTS[:15]) + 6
 
 
 def test_orbit_action_matches_the_reference(atlas_by_order):
