@@ -453,7 +453,8 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
         points = sorted(addgroup.std_group(typ).gens)
         width = len(points) ** 2
         tables = std.take(members, axis=0)
-        # The zero ring has no generators: its one automorphism wins.
+        # Each table's winning row.  The zero ring has no generators and one
+        # automorphism, so it runs no block and row 0 wins.
         rows = np.zeros(len(members), dtype=np.intp)
         step = max(1, _CERTIFICATE_BLOCK // max(1, width))
         per_block = max(1, step // len(autos))
