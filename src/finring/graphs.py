@@ -337,18 +337,18 @@ def parse_dot(text: str) -> SimpleGraph:
             except ValueError:
                 raise FormatError(f"bad edge statement: {line!r}") from None
         else:
-            name, _, attrs = stmt.partition("[")
+            name, bracket, attrs = stmt.partition("[")
             try:
                 v = int(name)
             except ValueError:
                 raise FormatError(f"bad node statement: {line!r}") from None
             label = None
-            if attrs:
-                attrs = attrs.rstrip("]").strip()
-                if not (attrs.startswith('label="') and attrs.endswith('"')):
+            if bracket:
+                # One quoted label, its escapes whole, and one closing bracket.
+                match = re.fullmatch(r'\s*label="((?:[^"\\]|\\.)*)"\s*\]', attrs, re.DOTALL)
+                if match is None:
                     raise FormatError(f"unsupported attributes: {line!r}")
-                label = re.sub(r'\\(["\\nr])', lambda esc: _DOT_UNESCAPES[esc[1]],
-                               attrs[len('label="') : -1])
+                label = re.sub(r'\\(["\\nr])', lambda esc: _DOT_UNESCAPES[esc[1]], match[1])
             nodes[v] = label
     n = len(nodes)
     if sorted(nodes) != list(range(n)):

@@ -21,8 +21,9 @@ STRUCTURAL_CAP = 64
 # Largest additive automorphism group a certificate minimizes over.  It covers
 # every additive type of order <= 16 and (3, 3, 3); GL(5, 2) is far above it.
 AUTOMORPHISM_BUDGET = 1 << 17
-# Generator products per vectorized block of the certificate minimum: k * k
+# Generator products per `_aut_action` call of the certificate minimum: k * k
 # for each table and automorphism, k the number of generators of the type.
+# The minimum itself is one argmin per chunk of tables over every automorphism.
 _CERTIFICATE_BLOCK = 1 << 16
 
 
@@ -367,11 +368,11 @@ def ring_canonical_certificate(ring: FiniteRing) -> bytes:
     every additive automorphism phi, so the table is standardized once and
     the minimum is taken over Aut(typ).  A product table is bi-additive, so
     its relabelings order as their products of the k standard generators
-    do (the lemma in `_canonical_stack`): `_aut_action` reads a block of
-    those k x k products with two flat gathers, a lexicographic argmin over
-    its rows picks the block's first least one, and one more gather reads
-    the full table of the winning automorphism.  Types whose automorphism
-    group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
+    do (the lemma in `_canonical_stack`): `_aut_action` reads those k x k
+    products in blocks, two flat gathers each, one lexicographic argmin over
+    the rows of every automorphism picks the first least one, and one more
+    gather reads the full table of the winning automorphism.  Types whose
+    automorphism group exceeds AUTOMORPHISM_BUDGET raise BudgetExceeded.
     """
     return _canonical(ring)[0]
 
@@ -398,11 +399,12 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     The rings of one additive type are certified together: one gather
     standardizes their tables, and `_aut_action` reads their products of
     generators in blocks of at most _CERTIFICATE_BLOCK products, each block
-    a run of tables with a run of automorphisms.  Each table keeps its first
-    least row, within a block and across blocks, and one gather per type
-    reads each table's full table in its winning automorphism.  A block of
-    one table is the block of one ring alone, so a ring's basis does not
-    depend on the rings beside it.
+    a chunk of tables with a run of automorphisms.  Each chunk takes one
+    argmin over its rows of every automorphism, so each table keeps its
+    first least row, and one gather per type reads each table's full table
+    in its winning automorphism.  A table's row does not depend on the
+    tables beside it in its chunk, so a ring's basis does not depend on the
+    rings beside it.
 
     The minimum over the k x k products of the k generators of the standard
     group, taken in ascending index, is the minimum over the n x n tables.
@@ -422,8 +424,6 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     """
     import numpy as np
 
-    if not adds:
-        return []
     by_type: dict[tuple[int, ...], list[int]] = {}
     # The type and first basis of each distinct add table, read once: a scan
     # job's tables share one standard group.
@@ -458,25 +458,15 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
         rows = np.zeros(len(members), dtype=np.intp)
         step = max(1, _CERTIFICATE_BLOCK // max(1, width))
         per_block = max(1, step // len(autos))
-        span = min(len(autos), step)
         for t0 in range(0, len(members) if points else 0, per_block):
             chunk = slice(t0, t0 + per_block)
-            for lo in range(0, len(autos), span):
-                block = _aut_action(typ, tables[chunk], slice(lo, lo + span), points)
-                # Rows of one width order the same as byte strings and as
-                # bytes, so trailing nulls cannot reorder them; argmin
-                # returns the first least.
-                keys = block.view(f"S{width}")[..., 0]
-                row = keys.argmin(axis=1)
-                if span < len(autos):
-                    cand = keys[np.arange(len(keys)), row]
-                    if lo:
-                        # Strictly less: on a tie the earlier block keeps its row.
-                        better = cand < least
-                        cand = np.where(better, cand, least)
-                        row = np.where(better, lo + row, rows[chunk])
-                    least = cand
-                rows[chunk] = row
+            # The chunk's rows over all of Aut, read a block at a time.
+            action = np.concatenate([_aut_action(typ, tables[chunk], slice(lo, lo + step), points)
+                                     for lo in range(0, len(autos), step)], axis=1)
+            # Rows of one width order the same as byte strings and as bytes,
+            # so trailing nulls cannot reorder them; argmin returns the first
+            # least.
+            rows[chunk] = action.view(f"S{width}")[..., 0].argmin(axis=1)
         chosen = autos.take(rows, axis=0)
         full = _relabel(tables, chosen, addgroup.automorphism_inverses(typ).take(rows, axis=0))
         bases = perm[np.array(members)[:, None], chosen].tolist()

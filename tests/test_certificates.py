@@ -390,3 +390,23 @@ def test_stack_with_shared_add_tables_matches_each_ring(atlas_by_order):
     mul = np.array([ring.mul for ring in stack], dtype=np.uint8)
     got = structure._canonical_stack([ring.add for ring in stack], mul)
     assert got == [structure._canonical(ring) for ring in stack]
+
+
+def test_stack_of_multi_block_types_matches_each_ring():
+    # Each (2, 2, 2, 2) table reads its 20160 automorphisms over several
+    # _aut_action blocks, and the least rows of these four tie across blocks;
+    # the smaller types beside them run one block per chunk.
+    null = rings.make_ring(addgroup.std_group((2, 2, 2, 2)).add, [[0] * 16] * 16)
+    z2, z4 = rings.zn(2), rings.zn(4)
+    multi = [rings.matrix_ring(z2, 2), rings.gf(2, 4), power(z2, 4), null]
+    single = [rings.zn(16), power(z4, 2), rings.direct_sum(rings.zn(8), z2),
+              rings.direct_sum(z4, power(z2, 2))]
+    rng = random.Random(41)
+    stack = [relabel(ring, rng) for ring in multi + single for _ in range(2)]
+    random.Random(43).shuffle(stack)
+    typ = (2, 2, 2, 2)
+    assert addgroup.automorphism_count(typ) > structure._CERTIFICATE_BLOCK // len(typ) ** 2
+    mul = np.array([ring.mul for ring in stack], dtype=np.uint8)
+    got = structure._canonical_stack([ring.add for ring in stack], mul)
+    assert got == [reference_canonical(ring) for ring in stack]
+    assert got == [structure._canonical(ring) for ring in stack]

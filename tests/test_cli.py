@@ -228,6 +228,25 @@ def test_atlas_query_dot_file(tmp_path, atlas_dir, capsys):
     assert "3 matches" in out
 
 
+@pytest.mark.parametrize("stmt", [
+    '0 [label="];',
+    '0 [label="x";',
+    '0 [label="x"]]];',
+    '0 [;',
+    '0 [label="a"b"];',
+    '0 [label="x"] [label="y"];',
+    '0 [label="x\\"];',
+], ids=["empty-quote", "unclosed", "extra-brackets", "bare-bracket", "inner-quote",
+        "two-lists", "escaped-close"])
+def test_atlas_query_refuses_a_malformed_attribute_list(tmp_path, capsys, stmt):
+    # The attributes after "[" are one label="..." with its escapes whole and
+    # one closing bracket, or the statement is refused.
+    dot = tmp_path / "bad.dot"
+    dot.write_text(f"graph {{\n  {stmt}\n}}\n", encoding="utf-8")
+    argv = ["atlas", "query", "--graph", str(dot), "--max-order", "4", "--atlas-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (2, "", f"error: unsupported attributes: {stmt!r}\n")
+
+
 def test_verify_pass_and_output_shape(capsys):
     code, out, _ = run_cli(["verify", "prop5", "--p", "2"], capsys)
     assert code == 0

@@ -324,6 +324,8 @@ def test_dot_labels_read_back_with_escapes():
     assert graphs.parse_dot(text) == graph
     # An escape the writer never makes is read as written.
     assert graphs.parse_dot('graph {\n  0 [label="a\\tb"];\n}\n').labels == ("a\\tb",)
+    # Space around the label inside the brackets is allowed.
+    assert graphs.parse_dot('graph {\n  0 [ label="x" ];\n}\n').labels == ("x",)
 
 
 def test_make_graph_validation():

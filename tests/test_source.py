@@ -33,6 +33,26 @@ def test_every_private_helper_is_used_outside_its_own_definition():
     assert unused == []
 
 
+def test_every_parameter_is_read():
+    # A parameter that its function never reads as a name fails here, so a
+    # change leaves no knob behind.  self is exempt, and so are lambdas:
+    # scenario runners share one (p, cache) signature whether or not they
+    # read both.
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}: {a.arg}" for a in params
+                       if a.arg != "self" and a.arg not in read]
+    assert unread == []
+
+
 def test_every_import_is_used():
     # A module-level import that its module never names fails here, unless
     # the module re-exports it through __all__.
