@@ -460,7 +460,6 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
         per_block = max(1, step // len(autos))
         for t0 in range(0, len(members) if points else 0, per_block):
             chunk = slice(t0, t0 + per_block)
-            # The chunk's rows over all of Aut, read a block at a time.
             action = np.concatenate([_aut_action(typ, tables[chunk], slice(lo, lo + step), points)
                                      for lo in range(0, len(autos), step)], axis=1)
             # Rows of one width order the same as byte strings and as bytes,
