@@ -133,9 +133,6 @@ def iter_basis_perms(add: Sequence[Sequence[int]], typ: tuple[int, ...]) -> Iter
     iterates over this generator.  Generators are tried in ascending index
     order within each cyclic order.
     """
-    if not typ:
-        yield [0]
-        return
     mults = [multiples(add, x) for x in range(len(add))]
     pools = {m: [x for x in range(len(add)) if len(mults[x]) == m] for m in set(typ)}
 

@@ -232,7 +232,6 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     if not tensors:
         return []
     group = addgroup.std_group(typ)
-    gens = list(group.gens)
     tables = rings._bilinear_tables(typ, tensors)
     seen: set[tuple[int, ...]] = set()
     kept = []
@@ -240,9 +239,9 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
         if products in seen:
             continue
         kept.append(t)
-        # The generator products of every table in the ring's orbit.
-        orbit = structure._aut_action(typ, tables[t], slice(None), gens)
-        seen.update(map(tuple, orbit.tolist()))
+        # The generator products of every table in the ring's orbit, in type order.
+        orbit = structure._aut_action(typ, tables[t], slice(None))
+        seen.update(map(tuple, orbit[:, ::-1].tolist()))
     return [cert for cert, _ in structure._canonical_stack([group.add] * len(kept), tables[kept])]
 
 

@@ -282,13 +282,12 @@ class _Parser:
         return scalar, poly
 
     def parse_atom(self) -> tuple[int, NcPoly | None]:
+        # parse_term calls in only at a number, a variable, "(" or "[".
         kind, value, pos = self.next()
         if kind == "num":
             return value, None
         if kind == "var":
             return 1, variable(value)
-        if kind not in ("(", "["):
-            raise ParseError(f"expected an atom, found {kind!r}", pos)
         if self.depth == MAX_NESTING:
             raise ParseError(f"brackets nest deeper than {MAX_NESTING}", pos)
         self.depth += 1

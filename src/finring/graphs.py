@@ -261,8 +261,6 @@ def _canonical(graph: SimpleGraph):
     adj[[a * n + b for a, b in graph.edges] + [b * n + a for a, b in graph.edges]] = True
     adj = adj.reshape(n, n)
     header = f"G1;n={n};".encode()
-    if n == 0:
-        return header, [], adj
     body, order = _search(adj)
     return header + body, order, adj
 
@@ -314,6 +312,15 @@ def export_dot(graph: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_id(text: str) -> int:
+    """A node id as export_dot writes it: ASCII digits, spaces around them
+    allowed; ValueError otherwise, where int() would also take a sign, an
+    underscore or another script's digits."""
+    if re.fullmatch(r"\s*[0-9]+\s*", text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_dot(text: str) -> SimpleGraph:
     """Read the subset of DOT that export_dot emits."""
     # Split at \n alone, as parse_ringtab does, so a form feed or another
@@ -333,13 +340,13 @@ def parse_dot(text: str) -> SimpleGraph:
         if "--" in stmt.partition("[")[0]:
             left, _, right = stmt.partition("--")
             try:
-                edges.append((int(left), int(right)))
+                edges.append((_dot_id(left), _dot_id(right)))
             except ValueError:
                 raise FormatError(f"bad edge statement: {line!r}") from None
         else:
             name, bracket, attrs = stmt.partition("[")
             try:
-                v = int(name)
+                v = _dot_id(name)
             except ValueError:
                 raise FormatError(f"bad node statement: {line!r}") from None
             label = None

@@ -79,7 +79,7 @@ def _as_table(raw, n: int, which: str):
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise AxiomViolation("entry-range", (i, j), f"{which}[{i}][{j}] = {v!r} not in [0, {n})")
-    return rows, np.array(rows, dtype=dtype)
+    # The fast path returns every valid table, so the loop has raised here.
 
 
 def _check_axioms(adds: Sequence[Table], a, m) -> bool:
@@ -302,11 +302,16 @@ def from_products(
 
     products[i * k + j] is gen_i * gen_j, for k = len(typ), so x * y is the
     sum over i, j of (x_i * y_j mod gcd(typ[i], typ[j])) * products[i * k + j].
-    Each product must be an element index in [0, n), or AxiomViolation.
+    There must be k * k products, each an element index in [0, n) as an
+    int, or AxiomViolation.
     """
     n = _check_order(math.prod(typ))
+    k = len(typ)
+    if len(products) != k * k:
+        raise AxiomViolation("table-shape", (len(products), k * k),
+                             f"products must number {k * k} for type {typ}, not {len(products)}")
     for t, v in enumerate(products):
-        if not 0 <= v < n:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
             raise AxiomViolation("entry-range", (t,), f"products[{t}] = {v!r} not in [0, {n})")
     mul = _bilinear_tables(typ, [products])[0]
     return make_ring(addgroup.std_arrays(typ)[0], mul, label, element_names)

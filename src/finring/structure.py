@@ -397,14 +397,14 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     one order at most STRUCTURAL_CAP.
 
     The rings of one additive type are certified together: one gather
-    standardizes their tables, and `_aut_action` reads their products of
-    generators in blocks of at most _CERTIFICATE_BLOCK products, each block
-    a chunk of tables with a run of automorphisms.  Each chunk takes one
-    argmin over its rows of every automorphism, so each table keeps its
-    first least row, and one gather per type reads each table's full table
-    in its winning automorphism.  A table's row does not depend on the
-    tables beside it in its chunk, so a ring's basis does not depend on the
-    rings beside it.
+    standardizes their tables, and `_aut_action` reads their k x k products
+    of generators, k = len(typ), in blocks of at most _CERTIFICATE_BLOCK
+    products, each block a chunk of tables with a run of automorphisms.
+    Each chunk takes one argmin over its rows of every automorphism, so each
+    table keeps its first least row, and one gather per type reads each
+    table's full table in its winning automorphism.  A table's row does not
+    depend on the tables beside it in its chunk, so a ring's basis does not
+    depend on the rings beside it.
 
     The minimum over the k x k products of the k generators of the standard
     group, taken in ascending index, is the minimum over the n x n tables.
@@ -416,11 +416,11 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     of cells table[e, y] in earlier rows, and likewise for y and earlier
     columns.  So the first cell, in row-major order, where two relabeled
     tables differ is a product e_i . e_j of generators, and with the
-    generators in index order the k x k products are their n x n cells in
-    the same order: comparing the products orders the tables exactly as
-    comparing all cells, and equal products mean equal tables.  The zero
-    ring has no generators and one automorphism; its certificate is its
-    1 x 1 zero table.
+    generators in index order, as `_aut_action` reads them, the k x k
+    products are their n x n cells in the same order: comparing the
+    products orders the tables exactly as comparing all cells, and equal
+    products mean equal tables.  The zero ring has no generators and one
+    automorphism; its certificate is its 1 x 1 zero table.
     """
     import numpy as np
 
@@ -450,17 +450,16 @@ def _canonical_stack(adds: Sequence[rings.Table], mul) -> list[tuple[bytes, list
     out: list[tuple[bytes, list[int]]] = [(b"", [])] * len(adds)
     for typ, members in by_type.items():
         autos = addgroup.automorphism_perms(typ)
-        points = sorted(addgroup.std_group(typ).gens)
-        width = len(points) ** 2
+        width = len(typ) ** 2
         tables = std.take(members, axis=0)
         # Each table's winning row.  The zero ring has no generators and one
         # automorphism, so it runs no block and row 0 wins.
         rows = np.zeros(len(members), dtype=np.intp)
         step = max(1, _CERTIFICATE_BLOCK // max(1, width))
         per_block = max(1, step // len(autos))
-        for t0 in range(0, len(members) if points else 0, per_block):
+        for t0 in range(0, len(members) if typ else 0, per_block):
             chunk = slice(t0, t0 + per_block)
-            action = np.concatenate([_aut_action(typ, tables[chunk], slice(lo, lo + step), points)
+            action = np.concatenate([_aut_action(typ, tables[chunk], slice(lo, lo + step))
                                      for lo in range(0, len(autos), step)], axis=1)
             # Rows of one width order the same as byte strings and as bytes,
             # so trailing nulls cannot reorder them; argmin returns the first
@@ -502,26 +501,26 @@ def _canonical_ring(cert: bytes) -> FiniteRing:
     return FiniteRing(group.order, group.add, tuple(map(tuple, mul.tolist())))
 
 
-def _aut_action(typ: tuple[int, ...], table, autos: slice, points):
+def _aut_action(typ: tuple[int, ...], table, autos: slice):
     """A standard product table read in the bases phi of Aut(typ), one row per
     automorphism in `autos` (a slice of `automorphism_perms(typ)`).
 
     Under basis phi the product of standard elements x, y reads
-    phi^-1[table[phi[x], phi[y]]]; a row holds it for x, y in `points` (an
-    index into the elements), x major.  That is the table relabelled by
-    phi^-1, so the rows over all of Aut are its orbit.  The certificate and
-    the scan's orbit dedup pass the generators as `points`: a bi-additive
-    table is fixed by its generator products, so those rows are equal
-    exactly when the full tables are, and with the generators in ascending
-    index they also order as the full tables do (`_canonical_stack`).
-    `table` may also be a stack of tables, (..., n, n), with a block of rows
-    for each.  Both lookups are flat gathers: the cells at phi[x] * n +
-    phi[y] of each raveled table, then the entries at cell + i * n of the
-    raveled inverses for row i.
+    phi^-1[table[phi[x], phi[y]]]; a row holds it for x, y among the
+    generators in ascending index, x major: the reverse of type order, so
+    row[::-1] lists e_i * e_j as the scan writes them.  That is the table
+    relabelled by phi^-1, so the rows over all of Aut are its orbit.  A
+    bi-additive table is fixed by its generator products, so two rows are
+    equal exactly when the full tables are, and they order as the full
+    tables do (`_canonical_stack`).  `table` may also be a stack of tables,
+    (..., n, n), with a block of rows for each.  Both lookups are flat
+    gathers: the cells at phi[x] * n + phi[y] of each raveled table, then
+    the entries at cell + i * n of the raveled inverses for row i.
     """
     import numpy as np
 
     n = table.shape[-1]
+    points = sorted(addgroup.std_group(typ).gens)
     phi = addgroup.automorphism_perms(typ)[autos][:, points].astype(np.intp)
     inverses = addgroup.automorphism_inverses(typ)[autos]
     cells = table.reshape(-1, n * n).take((phi * n)[:, :, None] + phi[:, None, :], axis=1)

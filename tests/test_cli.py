@@ -75,6 +75,42 @@ def test_ring_build_quotient_and_sum(tmp_path, capsys):
     assert code == 0 and "order 4" in out
 
 
+def test_ring_build_matrix_stdout(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    assert run_cli(["ring", "build", "matrix", z2, "2"], capsys) == (
+        0, rings.format_ringtab(rings.matrix_ring(rings.zn(2), 2)), "")
+
+
+def test_ring_build_ring_families_need_two_arguments(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    for family, usage in (("sum", "sum <ringtab-a> <ringtab-b>"), ("matrix", "matrix <ringtab> <k>"),
+                          ("quotient", "quotient <ringtab> <members e.g. 0,3,6>")):
+        assert run_cli(["ring", "build", family, z2], capsys) == (2, "", f"error: expected {usage}\n")
+
+
+def test_ring_build_quotient_needs_a_two_sided_ideal(tmp_path, capsys):
+    # {0, 2} is a right ideal of A2 but not a left one, and the reverse in A0_2.
+    for family, side, product in (("ap", "right", "2 * 1"), ("ap0", "left", "1 * 2")):
+        path = str(tmp_path / f"{family}.ring")
+        run_cli(["ring", "build", family, "2", "--out", path], capsys)
+        assert run_cli(["ring", "build", "quotient", path, "0,2"], capsys) == (
+            2, "", f"error: not closed under {side} multiplication: {product}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ringtab 1\n", "unexpected end of ringtab input"),
+    ("ringtab 1\norder 1\nlabel x\n", "unexpected end of ringtab input"),
+    ("ringtab 1\norder 1\nadd\n0\n", "unexpected end of ringtab input"),
+    ("ringtab 1\norder 0\nadd\nmul\n", "table-shape fails at (0,): a ring needs at least the zero element"),
+], ids=["header", "label", "add", "order-0"])
+def test_ring_info_refuses_a_short_ringtab(tmp_path, capsys, text, message):
+    path = tmp_path / "short.ring"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["ring", "info", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_zdg_graph_and_dot(tmp_path, capsys):
     gf4 = str(tmp_path / "gf4.ring")
     run_cli(["ring", "build", "gf", "2", "2", "--out", gf4], capsys)
@@ -175,6 +211,13 @@ def test_atlas_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+def test_atlas_build_refuses_bad_input(capsys, monkeypatch):
+    assert run_cli(["atlas", "build", "0"], capsys) == (2, "", "error: order must be at least 1\n")
+    monkeypatch.setenv(cli.ENUM_CAP_VAR, "x")
+    assert run_cli(["atlas", "build", "4"], capsys) == (
+        2, "", "error: FINRING_ENUM_CAP must be an integer, got 'x'\n")
+
+
 def test_atlas_query(atlas_dir, capsys):
     code, out, _ = run_cli(
         ["atlas", "query", "--graph", "K2", "--max-order", "9", "--atlas-dir", str(atlas_dir)],
@@ -245,6 +288,22 @@ def test_atlas_query_refuses_a_malformed_attribute_list(tmp_path, capsys, stmt):
     dot.write_text(f"graph {{\n  {stmt}\n}}\n", encoding="utf-8")
     argv = ["atlas", "query", "--graph", str(dot), "--max-order", "4", "--atlas-dir", str(tmp_path)]
     assert run_cli(argv, capsys) == (2, "", f"error: unsupported attributes: {stmt!r}\n")
+
+
+@pytest.mark.parametrize("kind, stmt", [("node", "{};"), ("edge", "0 -- {};")], ids=["node", "edge"])
+@pytest.mark.parametrize("ident", ["+1", "0_1", "\u0661"], ids=["sign", "underscore", "arabic-indic"])
+def test_atlas_query_reads_only_ascii_digit_ids(tmp_path, capsys, kind, stmt, ident):
+    # export_dot writes ids as ASCII digits; int() also reads a sign, an
+    # underscore and other scripts' digits, which are refused.
+    stmt = stmt.format(ident)
+    dot = tmp_path / "g.dot"
+    dot.write_text(f"graph {{\n0;\n1;\n{stmt}\n}}\n", encoding="utf-8")
+    argv = ["atlas", "query", "--graph", str(dot), "--max-order", "4", "--atlas-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (2, "", f"error: bad {kind} statement: {stmt!r}\n")
+    # Spaces around an id are optional.
+    dot.write_text("graph {\n0;\n1;\n0--1;\n}\n", encoding="utf-8")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.endswith(" matches\n")
 
 
 def test_verify_pass_and_output_shape(capsys):

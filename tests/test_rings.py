@@ -195,6 +195,15 @@ def test_quotient_rejects_non_ideal():
         rings.quotient(rings.zn(9), [3, 6])  # missing zero
 
 
+def test_ideal_members_refuses_another_rings_ideal():
+    from finring.errors import NotAnIdeal
+
+    z9 = rings.zn(9)
+    assert rings.ideal_members(z9, structure.Ideal(rings.zn(9), (0, 3, 6))) == (0, 3, 6)
+    with pytest.raises(NotAnIdeal, match="^ideal belongs to a different ring$"):
+        rings.ideal_members(z9, structure.Ideal(rings.zpx_mod_x2(3), (0, 3, 6)))
+
+
 @pytest.mark.parametrize(
     "ideal",
     [[0, "3"], [0, None], [0, 3.0], [0, 9], [0, -1], [0, [3]], [0, {3}], 5, None],
@@ -514,11 +523,10 @@ def test_from_products_matches_the_per_entry_loop():
     checked = 0
     for n in (2, 3, 4, 8, 9):
         for typ in atlas.abelian_group_types(n):
-            gens = list(addgroup.std_group(typ).gens)
             tensors: set[tuple[int, ...]] = set()
             for products in atlas._scan_tensors(typ, atlas._first_rows(typ)):
                 table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
-                orbit = structure._aut_action(typ, table, slice(None), gens)
+                orbit = structure._aut_action(typ, table, slice(None))[:, ::-1]
                 tensors.update(map(tuple, orbit.tolist()))
             for products in sorted(tensors):
                 ring = rings.from_products(typ, products)
@@ -545,6 +553,24 @@ def test_from_products_families():
     for product in (-1, 4, 5):
         with pytest.raises(AxiomViolation, match=rf"^entry-range fails at \(0,\): products\[0\] = {product} not"):
             rings.from_products((2, 2), (product, 0, 0, 0))
+
+
+@pytest.mark.parametrize("typ, products", [((4,), (1, 2)), ((2, 2), (0, 0, 0)), ((4,), ())],
+                         ids=["long", "short", "empty"])
+def test_from_products_takes_exactly_k_squared_products(typ, products):
+    # A type with k generators has exactly k * k generator products.
+    k = len(typ)
+    with pytest.raises(AxiomViolation, match=rf"^table-shape fails at \({len(products)}, {k * k}\): "
+                       rf"products must number {k * k} for type"):
+        rings.from_products(typ, products)
+
+
+@pytest.mark.parametrize("product", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_from_products_takes_only_int_products(product):
+    # An element index is an int; a bool, a float or a str reads as out of range.
+    message = f"entry-range fails at (0,): products[0] = {product!r} not in [0, 4)"
+    with pytest.raises(AxiomViolation, match=f"^{re.escape(message)}$"):
+        rings.from_products((4,), (product,))
 
 
 def test_from_products_checks_the_cap_first(monkeypatch):

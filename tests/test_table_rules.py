@@ -225,13 +225,12 @@ def test_both_actions_give_one_orbit_set():
             autos = addgroup.automorphism_perms(typ)
             inv_gens = addgroup.automorphism_inverses(typ)[:, group.gens]
             rows = np.arange(len(autos))[:, None]
-            gens = list(group.gens)
             first_rows = tuple(itertools.product(*atlas._allowed(typ)[: len(typ)]))
             for products in atlas._scan_tensors(typ, first_rows):
                 table = np.array(rings.from_products(typ, products).mul, dtype=np.uint8)
                 cells = table[inv_gens[:, :, None], inv_gens[:, None, :]]
                 forward = autos[rows, cells.reshape(len(autos), -1)]
-                backward = structure._aut_action(typ, table, slice(None), gens)
+                backward = structure._aut_action(typ, table, slice(None))[:, ::-1]
                 assert set(map(tuple, forward.tolist())) == set(map(tuple, backward.tolist()))
                 assert tuple(products) in set(map(tuple, backward.tolist()))
 
