@@ -35,7 +35,6 @@ from . import addgroup, freealg, graphs, rings, structure
 from .errors import FormatError, OrderCapExceeded
 from .rings import FiniteRing
 
-DEFAULT_ENUMERATION_CAP = 9
 ENUMERATION_HARD_MAX = 16
 SCAN_BUDGET = 1 << 30
 # Rings of order 1, 2, ..., 31 up to isomorphism: OEIS A027623.
@@ -77,12 +76,8 @@ def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]
 
 
 def _check_enum_cap(n: int, cap: int) -> None:
-    limit = min(cap, ENUMERATION_HARD_MAX)
-    if n > limit:
-        raise OrderCapExceeded(
-            f"enumeration of order {n} exceeds the cap of {limit}"
-            + (f" (hard max {ENUMERATION_HARD_MAX})" if cap > ENUMERATION_HARD_MAX else "")
-        )
+    if n > cap:
+        raise OrderCapExceeded(f"enumeration of order {n} exceeds the cap of {cap}")
 
 
 def _primary_parts(n: int) -> list[tuple[int, int]]:
@@ -97,11 +92,11 @@ def _primary_parts(n: int) -> list[tuple[int, int]]:
     return parts
 
 
-def abelian_group_types(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def abelian_group_types(n: int) -> list[tuple[int, ...]]:
     """All abelian groups of order n as descending prime-power order tuples."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    _check_enum_cap(n, cap)
+    _check_enum_cap(n, ENUMERATION_HARD_MAX)
     per_prime = [[tuple(p ** part for part in parts) for parts in _partitions(e)]
                  for p, e in _primary_parts(n)]
     types = [()]
@@ -245,8 +240,8 @@ def _chunk_certificates(job: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     return [cert for cert, _ in structure._canonical_stack([group.add] * len(kept), tables[kept])]
 
 
-def _prime_power_certs(q: int, cap: int, workers: int) -> list[bytes]:
-    types = abelian_group_types(q, cap=cap)
+def _prime_power_certs(q: int, workers: int) -> list[bytes]:
+    types = abelian_group_types(q)
     # Refuse before any automorphism group is built.  The space counts every
     # first row, not only the representatives the scan takes.
     for typ in types:
@@ -280,9 +275,7 @@ def make_entry(ring: FiniteRing, *, certificate: bytes | None = None) -> AtlasEn
     return AtlasEntry(ring, cert)
 
 
-def enumerate_rings(
-    n: int, *, cap: int = DEFAULT_ENUMERATION_CAP, workers: int = 1
-) -> list[AtlasEntry]:
+def enumerate_rings(n: int, *, workers: int = 1) -> list[AtlasEntry]:
     """One canonical representative per isomorphism class of rings of order n.
 
     Entries come back sorted by certificate and labeled R<n>_<index>; the
@@ -292,11 +285,11 @@ def enumerate_rings(
 
     if n < 1:
         raise ValueError("order must be at least 1")
-    _check_enum_cap(n, cap)
+    _check_enum_cap(n, ENUMERATION_HARD_MAX)
     parts = sorted((p**e for p, e in _primary_parts(n)), reverse=True) or [1]
     per_part: list[list[tuple[bytes, FiniteRing]]] = []
     for q in parts:
-        certs = _prime_power_certs(q, cap, workers) if q > 1 else [
+        certs = _prime_power_certs(q, workers) if q > 1 else [
             structure.ring_canonical_certificate(rings.zn(1))
         ]
         per_part.append([(c, structure._canonical_ring(c)) for c in certs])
@@ -317,22 +310,15 @@ def enumerate_rings(
     return entries
 
 
-def rings_with_graph(
-    n_max: int,
-    graph: graphs.SimpleGraph,
-    *,
-    provider,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[AtlasEntry]:
+def rings_with_graph(n_max: int, graph: graphs.SimpleGraph, *, provider) -> list[AtlasEntry]:
     """Atlas entries of order 1..n_max whose zero-divisor graph matches `graph`.
 
-    `provider` maps an order to its entry list, e.g. an AtlasCache's `get`.
-    The target's canonical form is computed first, so an over-cap target is
-    refused before any entry is read.  An entry's graph form is computed only
-    when its graph has the target's vertex and edge counts, since isomorphic
-    graphs agree on both.
+    `provider` maps an order to its entry list, e.g. an AtlasCache's `get`,
+    and refuses an order it may not build.  The target's canonical form is
+    computed first, so an over-cap target is refused before any entry is
+    read.  An entry's graph form is computed only when its graph has the
+    target's vertex and edge counts, since isomorphic graphs agree on both.
     """
-    _check_enum_cap(n_max, cap)
     target = graphs.canonical_form(graph)
     size = _graph_size(graph)
     out = []

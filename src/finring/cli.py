@@ -6,8 +6,9 @@ queries isomorphism classes, and `verify` runs the named scenarios.
 
 Exit codes: 0 success / scenario pass, 1 semantic negative (not isomorphic,
 identity fails, scenario fails), 2 bad input, 3 resource cap or budget.
-The only environment knob is FINRING_ENUM_CAP, which raises the enumeration
-cap (up to 16) and is echoed into any output that depends on it.
+The only environment knob is FINRING_ENUM_CAP, the command line's own
+enumeration cap: 9 unless set, at most the library's hard max of 16, and
+echoed into any output that depends on it.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ _INPUT_ERRORS = (FinringError, ValueError, OSError)
 _CAP_ERRORS = (OrderCapExceeded, GraphCapExceeded, BudgetExceeded)
 
 ENUM_CAP_VAR = "FINRING_ENUM_CAP"
+DEFAULT_ENUMERATION_CAP = 9
 
 
 def _enum_cap() -> tuple[int, bool]:
     raw = os.environ.get(ENUM_CAP_VAR)
     if raw is None:
-        return atlas.DEFAULT_ENUMERATION_CAP, False
+        return DEFAULT_ENUMERATION_CAP, False
     try:
         cap = int(raw)
     except ValueError:
@@ -154,7 +156,7 @@ def _parse_graph_spec(spec: str, max_order: int, cap: int) -> graphs.SimpleGraph
     if match:
         n = int(match.group(1))
         # An over-cap clique is refused unbuilt, after the enumeration cap
-        # that rings_with_graph checks first.
+        # that _cmd_atlas checks before the query.
         if n > graphs.GRAPH_CAP:
             atlas._check_enum_cap(max_order, cap)
             graphs._check_graph_cap(n)
@@ -167,14 +169,16 @@ def _cmd_atlas(args) -> int:
     cap, overridden = _enum_cap()
     _echo_cap(cap, overridden)
     if args.action == "build":
-        entries = atlas.enumerate_rings(args.n, cap=cap, workers=args.workers)
+        atlas._check_enum_cap(args.n, cap)
+        entries = atlas.enumerate_rings(args.n, workers=args.workers)
         print(f"{len(entries)} classes")
         if args.out:
             atlas.save_atlas(entries, args.out)
         return 0
     graph = _parse_graph_spec(args.graph, args.max_order, cap)
+    atlas._check_enum_cap(args.max_order, cap)
     cache = scenarios.AtlasCache(args.atlas_dir, cap=cap, workers=args.workers)
-    matches = atlas.rings_with_graph(args.max_order, graph, cap=cap, provider=cache.get)
+    matches = atlas.rings_with_graph(args.max_order, graph, provider=cache.get)
     for entry in matches:
         print(f"order {entry.ring.order} {entry.ring.label} {entry.certificate.hex()}")
     print(f"{len(matches)} matches")

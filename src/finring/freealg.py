@@ -235,15 +235,18 @@ class _Parser:
         # O(L log L) rather than O(L^2): blocks holds (factor count, product)
         # with counts falling, and two blocks of one count merge.
         blocks: list[tuple[int, NcPoly]] = []
-        saw_factor = False
+        # A "*" stands only between two factors, so the term needs a factor
+        # at its start and after each "*".
+        need_factor = True
         while True:
             kind = self.peek()
-            if kind == "*":
+            if kind == "*" and not need_factor:
                 self.next()
+                need_factor = True
                 continue
             if kind not in ("num", "var", "(", "["):
                 break
-            saw_factor = True
+            need_factor = False
             factor_scalar, factor_poly = self.parse_factor()
             coeff *= factor_scalar
             _check_bits(coeff.bit_length())
@@ -253,7 +256,7 @@ class _Parser:
                     factor_poly = blocks.pop()[1] * factor_poly
                     count *= 2
                 blocks.append((count, factor_poly))
-        if not saw_factor:
+        if need_factor:
             tok = self.next()
             raise ParseError(f"expected a term, found {tok[0]!r}", tok[2])
         if not blocks:

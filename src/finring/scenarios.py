@@ -36,9 +36,11 @@ class AtlasCache:
 
     A cache directory makes repeated scenario runs cheap: each order is
     enumerated once, saved as atlas-<n>.txt, and loaded back afterwards.
+    `cap` bounds the orders it enumerates, not the files it loads; the
+    command line passes its FINRING_ENUM_CAP policy here.
     """
 
-    def __init__(self, directory=None, *, cap: int = atlas.DEFAULT_ENUMERATION_CAP, workers: int = 1):
+    def __init__(self, directory=None, *, cap: int = atlas.ENUMERATION_HARD_MAX, workers: int = 1):
         self.directory = directory
         self.cap = cap
         self.workers = workers
@@ -57,7 +59,8 @@ class AtlasCache:
                     raise FormatError(f"{path} does not hold the atlas of order {n}")
                 self._memo[n] = entries
                 return entries
-        entries = atlas.enumerate_rings(n, cap=self.cap, workers=self.workers)
+        atlas._check_enum_cap(n, self.cap)
+        entries = atlas.enumerate_rings(n, workers=self.workers)
         if path is not None:
             atlas.save_atlas(entries, path)
         self._memo[n] = entries

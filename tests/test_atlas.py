@@ -16,7 +16,7 @@ def test_abelian_group_types():
     assert atlas.abelian_group_types(4) == [(4,), (2, 2)]
     assert atlas.abelian_group_types(8) == [(8,), (4, 2), (2, 2, 2)]
     assert atlas.abelian_group_types(6) == [(3, 2)]
-    assert atlas.abelian_group_types(12, cap=12) == [(4, 3), (3, 2, 2)]
+    assert atlas.abelian_group_types(12) == [(4, 3), (3, 2, 2)]
     assert atlas.abelian_group_types(1) == [()]
 
 
@@ -31,11 +31,9 @@ def test_primary_parts():
 
 
 def test_abelian_group_types_caps():
+    assert atlas.abelian_group_types(16)[0] == (16,)
     with pytest.raises(OrderCapExceeded):
-        atlas.abelian_group_types(10)
-    assert atlas.abelian_group_types(16, cap=16)[0] == (16,)
-    with pytest.raises(OrderCapExceeded):
-        atlas.abelian_group_types(17, cap=32)
+        atlas.abelian_group_types(17)
 
 
 def test_enumeration_counts_small(atlas_by_order):
@@ -48,13 +46,13 @@ def test_enumeration_cap():
     with pytest.raises(OrderCapExceeded):
         atlas.enumerate_rings(16)
     with pytest.raises(OrderCapExceeded):
-        atlas.enumerate_rings(12)  # over the default cap without override
+        atlas.enumerate_rings(17)  # over the hard max
 
 
 def test_order16_elementary_type_refused():
     # the elementary abelian scan space at order 16 is out of reach by design
     with pytest.raises(OrderCapExceeded):
-        atlas.enumerate_rings(16, cap=16)
+        atlas.enumerate_rings(16)
 
 
 def test_entries_are_canonical_and_deduplicated(atlas_by_order):
@@ -305,7 +303,7 @@ def test_atlas_lists_each_class_once_by_ascending_certificate(tmp_path, atlas_by
         subset.write_text(header, encoding="utf-8")
         with pytest.raises(FormatError, match=f"^{message}$"):
             atlas.load_atlas(subset)
-    assert atlas.CLASS_COUNTS[:15] == tuple(len(atlas.enumerate_rings(n, cap=15)) for n in range(1, 16))
+    assert atlas.CLASS_COUNTS[:15] == tuple(len(atlas.enumerate_rings(n)) for n in range(1, 16))
 
 
 def test_atlas_rows_split_only_at_newlines(tmp_path, atlas_by_order):
@@ -497,7 +495,7 @@ def test_serial_build_certifies_each_class_once(monkeypatch):
     assert len(kept) == 3
     for n in range(1, 16):
         if n != 8:
-            atlas.enumerate_rings(n, cap=15)
+            atlas.enumerate_rings(n)
     assert counts() == (1, 1, 30, 154)
     assert (len(kept), sum(kept)) == (24, 744)
 
@@ -523,7 +521,7 @@ def test_enumeration_builds_only_rings(monkeypatch):
     stacks = recording(rings, "_bilinear_tables")
     decoded = recording(structure, "_canonical_ring")
     sums = recording(rings, "direct_sum")
-    by_order = {n: atlas.enumerate_rings(n, cap=15) for n in range(1, 16)}
+    by_order = {n: atlas.enumerate_rings(n) for n in range(1, 16)}
     monkeypatch.undo()
 
     def assert_ring(ring):
@@ -589,7 +587,7 @@ def test_worker_count_is_clamped_before_any_pool_starts(monkeypatch, serial_pool
 def test_one_job_per_first_row_matches_the_serial_build(monkeypatch, serial_pool):
     # The finest partition: no type of orders 1..15 has more than 64 first
     # rows, so every first row is its own job.
-    serial = {n: atlas.enumerate_rings(n, cap=15) for n in range(1, 16)}
+    serial = {n: atlas.enumerate_rings(n) for n in range(1, 16)}
     jobs = []
     chunk = atlas._chunk_certificates
 
@@ -600,7 +598,7 @@ def test_one_job_per_first_row_matches_the_serial_build(monkeypatch, serial_pool
     monkeypatch.setattr(atlas, "_chunk_certificates", recorded_chunk)
     monkeypatch.setattr(atlas.os, "cpu_count", lambda: 64)
     for n in range(1, 16):
-        entries = atlas.enumerate_rings(n, cap=15, workers=10**6)
+        entries = atlas.enumerate_rings(n, workers=10**6)
         assert [e.certificate for e in entries] == [e.certificate for e in serial[n]], n
         assert [e.ring.mul for e in entries] == [e.ring.mul for e in serial[n]], n
     assert {len(rows) for _, rows in jobs} == {1}
@@ -703,7 +701,7 @@ def test_batch_load_matches_each_block_read_alone(tmp_path):
     rng = random.Random(21)
     path = tmp_path / "atlas.txt"
     for n in range(1, 16):
-        entries = atlas.enumerate_rings(n, cap=15)
+        entries = atlas.enumerate_rings(n)
         for text in (atlas_text(entries), relabeled_atlas_text(entries, rng)):
             path.write_text(text, encoding="utf-8")
             loaded = atlas.load_atlas(path)

@@ -164,7 +164,7 @@ def test_generator_products_reach_the_least_full_tables(monkeypatch):
     rng = random.Random(37)
     samples = [rings.make_ring([[0]], [[0]])]
     for n in range(1, 16):
-        for entry in atlas.enumerate_rings(n, cap=15):
+        for entry in atlas.enumerate_rings(n):
             samples += [entry.ring, relabel(entry.ring, rng), relabel(entry.ring, rng)]
     for ring in (rings.matrix_ring(rings.zn(2), 2), rings.gf(2, 4), power(rings.zn(2), 4),
                  rings.gf(3, 3), power(rings.zn(3), 3), rings.direct_sum(rings.zn(4), rings.zn(4))):
@@ -366,13 +366,13 @@ def test_serial_build_reads_each_add_table_once(monkeypatch):
     # has its own: 31 distinct add tables.  The automorphism rows of each
     # type are built first, as their bases are not reads of a ring.
     for n in range(1, 16):
-        for typ in atlas.abelian_group_types(n, cap=15):
+        for typ in atlas.abelian_group_types(n):
             addgroup.automorphism_perms(typ)
     types = counting(monkeypatch, addgroup, "additive_type")
     bases = counting(monkeypatch, addgroup, "iter_basis_perms")
     stacks = counting(monkeypatch, structure, "_canonical_stack")
     for n in range(1, 16):
-        atlas.enumerate_rings(n, cap=15)
+        atlas.enumerate_rings(n)
     assert sum(len(adds) for adds, _ in stacks) == 154
     assert len(types) == len(bases) == 31
 

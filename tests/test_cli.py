@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -252,6 +253,15 @@ def test_atlas_query_refuses_a_bad_atlas_header(tmp_path, atlas_dir, capsys):
     assert run_cli(argv, capsys) == (2, "", "error: bad atlas header\n")
 
 
+def test_atlas_query_refuses_an_atlas_short_of_blocks(tmp_path, atlas_dir, capsys):
+    for n in range(1, 4):
+        shutil.copy(atlas_dir / f"atlas-{n}.txt", tmp_path)
+    text = (atlas_dir / "atlas-4.txt").read_text(encoding="utf-8")
+    (tmp_path / "atlas-4.txt").write_text(text.rsplit("\n\n", 1)[0] + "\n", encoding="utf-8")
+    argv = ["atlas", "query", "--graph", "K2", "--max-order", "4", "--atlas-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (2, "", "error: expected 11 ringtab blocks, found 10\n")
+
+
 def test_atlas_query_refuses_an_atlas_that_lists_a_class_twice(tmp_path, atlas_dir, capsys):
     shutil.copy(atlas_dir / "atlas-1.txt", tmp_path)
     entry = atlas.load_atlas(atlas_dir / "atlas-2.txt")[1]
@@ -387,6 +397,42 @@ def test_atlas_query_refuses_large_clique_unbuilt(tmp_path, capsys, monkeypatch)
             monkeypatch.setenv(cli.ENUM_CAP_VAR, env)
         args = ["atlas", "query", "--graph", spec, "--max-order", str(max_order)]
         assert run_cli(args, capsys) == expected, spec
+
+
+# Exit code, stdout and stderr of every `atlas build`, `atlas query` and
+# cached `verify` call below, under each value of FINRING_ENUM_CAP; pinned
+# while the library still took the enumeration cap as a parameter.
+ENUM_CAP_MATRIX_SHA256 = "6fd834f523f1a2b000bd69676d3f71aa46c1950a16f09cff4dec54b30935d540"
+
+
+def test_enumeration_cap_matrix(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    calls = 0
+    for env in (None, "1", "3", "8", "9", "12", "16"):
+        if env is None:
+            monkeypatch.delenv(cli.ENUM_CAP_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENUM_CAP_VAR, env)
+        c = int(env or 9)
+        argvs = [["atlas", "build", str(n)] for n in sorted({0, 1, c, c + 1, 17})]
+        argvs += [["atlas", "query", "--graph", g, "--max-order", str(m)]
+                  for g in ("K2", "K65", "K100000") for m in sorted({c, c + 1, 17})]
+        argvs += [["verify", name] for name in ("cor1", "prop4-counterexample", "theorem3-shape", "prop5")]
+        for argv in argvs:
+            digest.update(repr((env, argv) + run_cli(argv, capsys)).encode("utf-8"))
+            calls += 1
+    assert calls == 121
+    assert digest.hexdigest() == ENUM_CAP_MATRIX_SHA256
+
+
+def test_identity_check_refuses_a_stray_star(tmp_path, capsys):
+    z2 = str(tmp_path / "z2.ring")
+    run_cli(["ring", "build", "zn", "2", "--out", z2], capsys)
+    for text in ("x*", "*x", "(*x)", "x**y", "x+*y", "x*-y", "*"):
+        code, out, err = run_cli(["identity", "check", z2, text], capsys)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: "), text
+    assert run_cli(["identity", "check", z2, "2*x*y"], capsys) == (0, "PASS 2*x*y\n", "")
 
 
 def test_identity_check_refuses_deep_nesting(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -354,3 +355,38 @@ def test_unbound_variables_are_named_alike():
             fa.evaluate(fa.parse(text), ring, {1: 0})
         with pytest.raises(UnboundVariable, match=rf"^variable {name} has no binding$"):
             fa.substitute(fa.parse(text), {1: fa.variable(1)})
+
+
+def test_star_stands_only_between_factors():
+    for text, position, message in (
+        ("x*", 2, "unexpected end of input"),
+        ("*x", 0, "expected a term, found '*'"),
+        ("(*x)", 1, "expected a term, found '*'"),
+        ("x**y", 2, "expected a term, found '*'"),
+        ("x+*y", 2, "expected a term, found '*'"),
+        ("x*-y", 2, "expected a term, found '-'"),
+        ("*", 0, "expected a term, found '*'"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}") as exc:
+            fa.parse(text)
+        assert exc.value.position == position, text
+    for text, same in (("2*3x", "6x"), ("x*y", "xy"), ("x * y", "xy"), ("3 x * y", "3xy"),
+                       ("(x+y)*z", "xz + yz"), ("x^2*y", "xxy")):
+        assert fa.parse(text) == fa.parse(same), text
+
+
+def test_closing_brackets_must_match():
+    with pytest.raises(ParseError, match=r"^expected '\)', found '\]'") as exc:
+        fa.parse("(x]")
+    assert exc.value.position == 2
+    with pytest.raises(ParseError, match=r"^expected ',', found '\]'") as exc:
+        fa.parse("[x]")
+    assert exc.value.position == 2
+
+
+def test_polynomials_refuse_constant_and_zero_index_words():
+    for make in (lambda: fa.NcPoly({(): 1}), lambda: fa.NcPoly({(0,): 1}),
+                 lambda: fa.variable(1) ** 0):
+        with pytest.raises(ValueError):
+            make()
+    assert repr(fa.parse("2x+y")) == "NcPoly('2x + y')"

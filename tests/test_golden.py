@@ -66,7 +66,7 @@ def test_atlas_file_bytes(atlas_dir, n):
 
 def _built_atlas_bytes(tmp_path, n, workers=1):
     path = tmp_path / f"atlas-{n}.txt"
-    atlas.save_atlas(atlas.enumerate_rings(n, cap=15, workers=workers), path)
+    atlas.save_atlas(atlas.enumerate_rings(n, workers=workers), path)
     return path.read_bytes()
 
 
@@ -293,7 +293,7 @@ def test_derived_ring_bytes(atlas_by_order, build):
     assert h.hexdigest() == DERIVED_SHA256[build]
 
 
-STD_GROUP_TYPES = [typ for n in range(1, 17) for typ in atlas.abelian_group_types(n, cap=16)]
+STD_GROUP_TYPES = [typ for n in range(1, 17) for typ in atlas.abelian_group_types(n)]
 STD_GROUP_TYPES += [(2,) * 8, (4, 4, 4, 4), (16, 16), (3,) * 5]
 STD_GROUP_SHA256 = "fa4d947fd04a7a71755ed8f5cbafed4c155f045af4202336264fbad1e36343e4"
 
@@ -455,7 +455,7 @@ def _zdg_iso_output(capsys, tmp_path, a, b):
 
 @functools.cache
 def _atlas_rings(n):
-    return tuple(entry.ring for entry in atlas.enumerate_rings(n, cap=15))
+    return tuple(entry.ring for entry in atlas.enumerate_rings(n))
 
 
 ZDG_ATLAS_SHA256 = {

@@ -360,7 +360,7 @@ def test_simple_graph_takes_one_label_per_vertex():
 
 def test_pruned_search_matches_unpruned_on_atlas_graphs():
     for n in range(1, 16):
-        for entry in atlas.enumerate_rings(n, cap=16):
+        for entry in atlas.enumerate_rings(n):
             graph = graphs.zero_divisor_graph(entry.ring)
             assert graphs._canonical(graph)[:2] == unpruned_canonical(graph), entry.ring.label
 
@@ -473,7 +473,7 @@ def assert_refine_matches_at_root_and_branches(graph):
 
 def test_refine_matches_the_reference_on_ring_graphs():
     family = [power(rings.zn(2), k) for k in range(1, 7)] + [power(rings.zn(3), 3)]
-    family += [entry.ring for n in range(1, 16) for entry in atlas.enumerate_rings(n, cap=16)]
+    family += [entry.ring for n in range(1, 16) for entry in atlas.enumerate_rings(n)]
     for ring in family:
         assert_refine_matches_at_root_and_branches(graphs.zero_divisor_graph(ring))
 

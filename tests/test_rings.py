@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finring import addgroup, atlas, rings, structure
+from finring import addgroup, atlas, graphs, rings, structure
 from finring.errors import AxiomViolation, FormatError, NotPrime, OrderCapExceeded
 
 
@@ -588,3 +588,10 @@ def test_gf_builds_up_to_its_order_cap(monkeypatch):
     monkeypatch.setattr(rings, "ORDER_CAP", 4)
     with pytest.raises(OrderCapExceeded, match=r"^order 8 exceeds the cap of 4$"):
         rings.gf(2, 3)
+
+
+def test_sizes_below_range_are_value_errors():
+    for make in (lambda: graphs.make_graph(-1, []), lambda: rings.n0(2, 0),
+                 lambda: atlas.abelian_group_types(0)):
+        with pytest.raises(ValueError):
+            make()

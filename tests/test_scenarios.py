@@ -192,14 +192,21 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_caps_are_module_constants():
-    # Order 256, and 64 for structure and graphs, hold for every call: no
-    # public function can lift them.
+    # Order 256, 64 for structure and graphs, and 16 for enumeration hold
+    # for every call: no public function can lift them.
     listed = [(m, name) for m in (rings, structure, graphs) for name in PUBLIC_OPS[m]]
     unlisted = [(rings, "from_products"), (rings, "parse_ringtab"), (rings, "read_ringtab"),
                 (structure, "structure_report")]
     for module, name in listed + unlisted:
         params = inspect.signature(getattr(module, name)).parameters
         assert not {"cap", "order_cap"} & set(params), f"{module.__name__}.{name}"
+    # The enumeration limit is the hard max alone; FINRING_ENUM_CAP is the
+    # command line's policy and reaches no atlas function.
+    for fn in (atlas.abelian_group_types, atlas.enumerate_rings, atlas.rings_with_graph):
+        assert "cap" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(atlas, "DEFAULT_ENUMERATION_CAP")
+    with pytest.raises(OrderCapExceeded, match=r"^enumeration of order 17 exceeds the cap of 16$"):
+        atlas.enumerate_rings(17)
     assert "budget" not in inspect.signature(atlas.graph_determinacy_report).parameters
     assert "workers" not in inspect.signature(scenarios.run).parameters
     with pytest.raises(OrderCapExceeded, match=r"^order 257 exceeds the cap of 256$"):

@@ -363,7 +363,7 @@ def _reference_decompose(ring, lattice):
 
 def test_spans_match_the_fixpoint_reference():
     rng = random.Random(11)
-    classes = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    classes = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n)]
     assert len(classes) == 125
     for ring in classes + [relabel(r, rng) for r in classes if r.order > 2]:
         n = ring.order
@@ -439,7 +439,7 @@ def _fixpoint_lattice(ring):
 
 
 def test_ideals_and_radical_match_fixpoint_oracle():
-    family = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    family = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n)]
     z2 = rings.zn(2)
     boolean = z2
     for _ in range(5):
@@ -458,7 +458,7 @@ def _is_local_by_quotient(ring):
 
 def test_is_local_matches_the_quotient_field_test(atlas_by_order):
     entries = [e for n in range(1, 10) for e in atlas_by_order[n]]
-    entries += [e for n in range(10, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    entries += [e for n in range(10, 16) for e in atlas.enumerate_rings(n)]
     candidates = [e.ring for e in entries] + [
         rings.gf(2, 4), rings.gf(7, 2), rings.gf(2, 5), rings.matrix_ring(rings.zn(2), 2),
         rings.zn(64), rings.zn(49), rings.zpx_mod_x2(7), rings.zn(1),
@@ -474,7 +474,7 @@ def test_is_local_matches_the_quotient_field_test(atlas_by_order):
 
 def test_structure_report_computes_each_fact_once(monkeypatch):
     rng = random.Random(12)
-    classes = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n, cap=16)]
+    classes = [e.ring for n in range(1, 16) for e in atlas.enumerate_rings(n)]
     assert len(classes) == 125
     samples = classes + [relabel(r, rng) for r in classes if r.order > 2]
     names = ("has_identity", "is_commutative", "zero_divisors", "_principal_ideals", "_units", "units")
@@ -506,3 +506,20 @@ def test_structure_report_computes_each_fact_once(monkeypatch):
         assert report.jacobson_radical == structure.jacobson_radical(ring)
         assert report.is_subdirectly_irreducible == structure.is_subdirectly_irreducible(ring)
         assert report.is_decomposable == (len(structure.decompose(ring)) > 1)
+
+
+def test_ring_hom_checks_sum_and_product():
+    z4 = rings.zn(4)
+    negation = structure.RingHom(z4, z4, (0, 3, 2, 1))
+    swap = structure.RingHom(z4, z4, (0, 2, 1, 3))
+
+    def keeps(hom, table):
+        img = hom.images
+        return all(img[table[x][y]] == table[img[x]][img[y]] for x in range(4) for y in range(4))
+
+    # Negation keeps the sum and breaks the product; the swap breaks the sum.
+    assert keeps(negation, z4.add) and not keeps(negation, z4.mul)
+    assert not keeps(swap, z4.add)
+    assert not negation.preserves_structure()
+    assert not swap.preserves_structure()
+    assert structure.RingHom(z4, z4, (0, 1, 2, 3)).preserves_structure()

@@ -179,7 +179,7 @@ def reference_scalar_action(ring, coeff, x):
 def sample_rings(atlas_by_order):
     rng = random.Random(14)
     classes = [e.ring for n in range(1, 10) for e in atlas_by_order[n]]
-    classes += [e.ring for n in range(10, 16) for e in atlas.enumerate_rings(n, cap=15)]
+    classes += [e.ring for n in range(10, 16) for e in atlas.enumerate_rings(n)]
     copies = [relabel(ring, rng) for ring in classes if ring.order > 2]
     large = [rings.zn(64), rings.zn(256), rings.gf(2, 6), rings.matrix_ring(rings.zn(4), 2)]
     large += [relabel(ring, rng) for ring in large]
@@ -274,7 +274,7 @@ def test_scan_matches_the_replaced_scan():
     # Every additive type of orders 2-15, and the types of order 25, 49 and
     # 16 the atlas tests scan, from three sets of first rows: the kept rows,
     # their halves as a two-worker build splits them, and every allowed row.
-    types = [typ for n in range(2, 16) for typ in atlas.abelian_group_types(n, cap=15)]
+    types = [typ for n in range(2, 16) for typ in atlas.abelian_group_types(n)]
     types += [(5, 5), (7, 7), (8, 2), (4, 4), (4, 2, 2)]
     for typ in types:
         kept = atlas._first_rows(typ)

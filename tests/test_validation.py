@@ -134,7 +134,7 @@ def _base_rings(n):
 
 def test_valid_atlas_rings_of_orders_1_to_15():
     for n in range(1, 16):
-        for entry in atlas.enumerate_rings(n, cap=15):
+        for entry in atlas.enumerate_rings(n):
             ring = entry.ring
             assert _reference_violation(ring.add, ring.mul) is None
             assert _violation(ring.add, ring.mul) is None
@@ -258,7 +258,7 @@ def test_stacked_check_stops_at_the_first_table_that_is_no_ring(n):
     # that is no ring, at a seeded position, fails the whole stack.  The
     # rings of order n have from 0 to 3 generators, so the stack pads them.
     rnd = random.Random(n)
-    valid = [(e.ring.add, e.ring.mul) for e in atlas.enumerate_rings(n, cap=12)]
+    valid = [(e.ring.add, e.ring.mul) for e in atlas.enumerate_rings(n)]
     adds, a, m = _stack(valid)
     assert rings._check_axioms(adds, a, m) is True
     faulty = [(add, mul) for ring in _base_rings(n) for _, add, mul in _corruptions(ring, rnd, 3)
