@@ -155,8 +155,9 @@ def _parse_graph_spec(spec: str, max_order: int, cap: int) -> graphs.SimpleGraph
     match = re.fullmatch(r"[Kk](\d+)", spec)
     if match:
         n = int(match.group(1))
-        # An over-cap clique is refused unbuilt, after the enumeration cap
-        # that _cmd_atlas checks before the query.
+        # An over-cap clique is refused unbuilt, but only after the
+        # enumeration cap, which _cmd_atlas otherwise checks once the graph
+        # is read.
         if n > graphs.GRAPH_CAP:
             atlas._check_enum_cap(max_order, cap)
             graphs._check_graph_cap(n)
